@@ -4,16 +4,15 @@ The DES is single-threaded, so an ablation matrix is embarrassingly
 parallel: the pool's speedup is the wall-time argument for running
 paper-scale sweeps (and CI) through ``repro ablate --jobs N``.
 
-Runs the fig2b x (lock, sharding, scheduler) leave-one-out matrix (4
-cells) twice -- serial, then through a 2-worker spawn pool -- and
-records wall time and per-cell metrics in
-``results/BENCH_ablation.json``.
+Runs the fig2b x (lock, sharding) leave-one-out matrix (3 cells) twice
+-- serial, then through a 2-worker spawn pool -- and records wall time
+and per-cell metrics in ``results/BENCH_ablation.json``.
 
 **Identity gate** (deterministic, enforced here): the pooled sweep must
 produce record-for-record the same journal as the serial sweep --
 worker processes add parallelism, never divergence.  The speedup itself
 is recorded but not gated: on a 2-core CI box the spawn/import overhead
-of a 4-cell quick matrix can eat most of it.
+of a 3-cell quick matrix can eat most of it.
 
 ::
 
@@ -32,7 +31,7 @@ from repro.analysis.report import format_table
 RESULTS = pathlib.Path(__file__).parent / "results" / "BENCH_ablation.json"
 
 EXPERIMENTS = ["fig2b"]
-COMPONENTS = ["lock", "sharding", "scheduler"]
+COMPONENTS = ["lock", "sharding"]
 JOBS = 2
 
 

@@ -36,13 +36,14 @@ them as AST rules (stdlib :mod:`ast`, no new dependencies):
     exception swallow model bugs that determinism tests would otherwise
     surface.
 ``queue-encapsulation``
-    The simulator's event queue is pluggable
-    (:mod:`repro.sim.equeue`); only the engine and the queue
-    implementations themselves may import :mod:`heapq` or touch queue
-    internals (``sim._heap``-era attributes, bucket state, the free
-    pool).  Everything else goes through the :class:`EventQueue`
-    interface and the ``Simulator`` properties, or the calendar queue
-    silently diverges from the heap.
+    The event queue (:mod:`repro.sim.equeue`) is a lazy-deletion heap
+    whose ``dead``/``skipped`` books only balance if every push, pop and
+    cancel goes through it, and the Timeout free pool is safe only
+    behind the engine's refcount guard.  So only the engine, the queue
+    and the event primitives may import :mod:`heapq` or touch those
+    internals (the heap list, the dead count, the pool, the cached
+    push, the seq counter); everything else goes through the
+    :class:`EventQueue` interface and the ``Simulator`` properties.
 ``continuation-discipline``
     Callbacks registered via ``attach_continuation`` fire inside the
     runtime's completion dispatch; callbacks handed to the timer paths
@@ -596,9 +597,8 @@ def _check_broad_except(mod: _Module) -> Iterator[Finding]:
 
 
 #: Files allowed to import heapq / touch queue internals: the engine,
-#: the queue implementations, and the event primitives (whose
-#: trigger-time scheduling is deliberately inlined into the push fast
-#: path).
+#: the queue, and the event primitives (whose trigger-time scheduling
+#: is deliberately inlined into the push fast path).
 _QUEUE_WHITELIST = (
     "repro/sim/engine.py",
     "repro/sim/equeue.py",
@@ -606,16 +606,12 @@ _QUEUE_WHITELIST = (
 )
 
 #: Attribute names that are queue internals wherever they appear
-#: (heap array, calendar bucket state).
-_QUEUE_PRIVATE_ANY = frozenset({
-    "_heap", "_buckets", "_inv_width", "_grow_at",
-})
+#: (the heap list).
+_QUEUE_PRIVATE_ANY = frozenset({"_heap"})
 
 #: Attribute names that are queue internals only on a simulator or
 #: queue receiver (generic enough to exist on unrelated classes).
-_QUEUE_PRIVATE_SIM = frozenset({
-    "_dead", "_pool", "_push", "_seq", "_cur", "_width", "_count",
-})
+_QUEUE_PRIVATE_SIM = frozenset({"_dead", "_pool", "_push", "_seq"})
 
 #: Receiver spellings that denote the simulator or its queue.
 _QUEUE_RECEIVERS = frozenset({"sim", "queue", "q", "equeue"})
@@ -634,18 +630,18 @@ def _check_queue_encapsulation(mod: _Module) -> Iterator[Finding]:
                     yield Finding(
                         mod.path, node.lineno, node.col_offset,
                         "queue-encapsulation",
-                        "heapq import outside the sim engine: the event "
-                        "queue is pluggable, schedule through "
-                        "Simulator/EventQueue instead",
+                        "heapq import outside the sim engine: schedule "
+                        "through Simulator/EventQueue so the queue's "
+                        "lazy-deletion books stay balanced",
                     )
         elif isinstance(node, ast.ImportFrom):
             if node.module and node.module.split(".")[0] == "heapq":
                 yield Finding(
                     mod.path, node.lineno, node.col_offset,
                     "queue-encapsulation",
-                    "heapq import outside the sim engine: the event "
-                    "queue is pluggable, schedule through "
-                    "Simulator/EventQueue instead",
+                    "heapq import outside the sim engine: schedule "
+                    "through Simulator/EventQueue so the queue's "
+                    "lazy-deletion books stay balanced",
                 )
         elif isinstance(node, ast.Attribute):
             attr = node.attr
@@ -654,8 +650,8 @@ def _check_queue_encapsulation(mod: _Module) -> Iterator[Finding]:
                     mod.path, node.lineno, node.col_offset,
                     "queue-encapsulation",
                     f"direct access to queue internal {attr!r}; use the "
-                    "EventQueue interface (push/pop/pop_batch/stats) or "
-                    "the Simulator accounting properties",
+                    "EventQueue interface (push/pop/stats) or the "
+                    "Simulator accounting properties",
                 )
             elif attr in _QUEUE_PRIVATE_SIM:
                 recv = node.value
@@ -668,8 +664,9 @@ def _check_queue_encapsulation(mod: _Module) -> Iterator[Finding]:
                     yield Finding(
                         mod.path, node.lineno, node.col_offset,
                         "queue-encapsulation",
-                        f"direct access to {tail}.{attr}: queue and pool "
-                        "internals are private to the sim engine; use the "
+                        f"direct access to {tail}.{attr}: the queue's "
+                        "lazy-deletion books and the pool's refcount guard "
+                        "are private to the sim engine; use the "
                         "EventQueue interface or Simulator properties",
                     )
 

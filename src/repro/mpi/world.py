@@ -39,7 +39,7 @@ from ..machine import (
 from ..network import Fabric, NetworkConfig
 from ..obs import Instrument
 from ..overrides import cluster_overrides, get_override
-from ..sim import SCHEDULERS, Simulator
+from ..sim import Simulator
 from .collectives import Communicator
 from .runtime import MpiRuntime, MpiThread
 from .vci import CsGranularity, CsPolicy, parse_cs_policy
@@ -64,12 +64,6 @@ class ClusterConfig:
     lock: str = "mutex"
     binding: str = "compact"
     seed: int = 0
-    #: Simulator event-queue implementation (see
-    #: :data:`repro.sim.SCHEDULERS`): "heap" (default, bit-identity
-    #: reference) or "calendar" (batched bucket queue for long runs).
-    #: Both produce identical schedules; the choice is purely a
-    #: wall-clock trade.
-    scheduler: str = "heap"
     costs: CostModel = field(default_factory=CostModel)
     net: NetworkConfig = field(default_factory=NetworkConfig)
     machine_spec: MachineSpec = field(default_factory=MachineSpec)
@@ -124,11 +118,6 @@ class ClusterConfig:
                 f"unknown binding {self.binding!r}; valid bindings: "
                 f"{', '.join(sorted(BINDINGS))}"
             )
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; valid schedulers: "
-                f"{', '.join(sorted(SCHEDULERS))}"
-            )
         if self.completion not in ("poll", "continuation"):
             raise ValueError(
                 f"unknown completion mode {self.completion!r}; valid "
@@ -167,7 +156,7 @@ class Cluster:
                 f"unknown binding {config.binding!r}; expected one of {sorted(BINDINGS)}"
             )
         self.config = config
-        self.sim = Simulator(seed=config.seed, scheduler=config.scheduler)
+        self.sim = Simulator(seed=config.seed)
         if config.obs is not None:
             # Single attach point: everything holding this sim emits
             # through sim.obs.  Rebinding is deliberate -- sweep

@@ -46,7 +46,7 @@ __all__ = [
 
 #: Keys applied as forced ``ClusterConfig`` field values.
 CLUSTER_KEYS = frozenset({
-    "lock", "cs", "scheduler", "completion", "reliability",
+    "lock", "cs", "completion", "reliability",
     "eager_threshold",
 })
 

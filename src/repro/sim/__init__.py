@@ -14,7 +14,7 @@ Public surface::
 """
 
 from .engine import SimulationError, Simulator
-from .equeue import SCHEDULERS, CalendarQueue, EventQueue, HeapQueue, make_queue
+from .equeue import EventQueue, HeapQueue
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Interrupt, Process
 from .rng import RngStreams, stable_hash
@@ -25,9 +25,6 @@ __all__ = [
     "SimulationError",
     "EventQueue",
     "HeapQueue",
-    "CalendarQueue",
-    "SCHEDULERS",
-    "make_queue",
     "Event",
     "Timeout",
     "AnyOf",

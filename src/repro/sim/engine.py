@@ -7,14 +7,10 @@ progress engine, network packet delivery -- is expressed as processes and
 events scheduled here.  Time is a ``float`` in **seconds**; the calibrated
 cost model works at nanosecond scale (1e-9).
 
-The queue is pluggable (``Simulator(scheduler="heap"|"calendar")``, see
-:mod:`repro.sim.equeue`); every implementation honours the same
-``(time, seq)`` total order, so the dispatch schedule -- and therefore
-every bit-identity pin in the test suite -- is independent of the queue
-chosen.  The run loops pull *batches* of same-timestamp entries and
-dispatch them in one tight loop, and dispatched :class:`Timeout` objects
-are recycled through a small free pool when provably unreferenced, so
-the per-event Python overhead is paid once per batch where possible.
+Events dispatch in ``(time, seq)`` order: same-timestamp events run in
+creation order.  The run loop pops one event at a time, and dispatched
+:class:`Timeout` objects are recycled through a small free pool when
+provably unreferenced.
 
 Cancelled events (:meth:`~repro.sim.events.Event.cancel`) are deleted
 *lazily*: the queue entry stays where it is, is skipped at pop time
@@ -31,18 +27,18 @@ from sys import getrefcount as _getrefcount
 from typing import Any, Callable, Generator, Optional
 
 from .equeue import _COMPACT_MIN_DEAD as _COMPACT_MIN_DEAD  # re-export, tests
-from .equeue import EventQueue, SCHEDULERS, make_queue
+from .equeue import EventQueue, HeapQueue
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
 from .rng import RngStreams
 
-__all__ = ["Simulator", "SimulationError", "EventQueue", "SCHEDULERS"]
+__all__ = ["Simulator", "SimulationError", "EventQueue"]
 
 #: Free-pool cap: enough to absorb the working set of in-flight timers
 #: in the macro workloads without pinning unbounded garbage.
 _POOL_MAX = 512
 
-#: A dispatched Timeout reachable only from the batch entry, the loop
+#: A dispatched Timeout reachable only from the queue entry, the loop
 #: local and the getrefcount argument itself is provably dropped by all
 #: user code and safe to recycle.
 _POOL_REFS = 3
@@ -63,16 +59,11 @@ class Simulator:
         Master seed for the named RNG streams (see :class:`RngStreams`).
         Two simulators constructed with the same seed and driven by the
         same (deterministic) model produce bit-identical traces.
-    scheduler:
-        Event-queue implementation: a name from
-        :data:`~repro.sim.equeue.SCHEDULERS` (``"heap"``, the default
-        and bit-identity reference, or ``"calendar"``) or a
-        pre-constructed :class:`EventQueue`.
     """
 
-    def __init__(self, *, seed: int = 0, scheduler="heap"):
+    def __init__(self, *, seed: int = 0):
         self.now: float = 0.0
-        self.queue: EventQueue = make_queue(scheduler)
+        self.queue: EventQueue = HeapQueue()
         #: Bound ``queue.push``, cached: scheduling happens several times
         #: per dispatched event, and the queue never changes after
         #: construction.
@@ -91,11 +82,6 @@ class Simulator:
         #: Timeout objects served from the free pool instead of being
         #: allocated (see the pooling notes in DESIGN.md section 9).
         self.pool_hits = 0
-        #: Batch entries extracted but not yet dispatched.  Nonzero only
-        #: while a run loop is inside a batch; ``queued_events`` folds it
-        #: back in so callbacks (e.g. the progress watchdog's idle
-        #: check) see their same-timestamp siblings as still pending.
-        self._inflight = 0
         self._pool: list = []
 
     # ------------------------------------------------------------------
@@ -111,6 +97,7 @@ class Simulator:
         Served from the free pool when possible: a recycled Timeout is
         indistinguishable from a fresh one (same ``(time, seq)`` key
         allocation, reset state), so pooling is schedule-neutral.
+        A negative or NaN ``delay`` raises ``ValueError``.
         """
         pool = self._pool
         if pool and delay >= 0.0:
@@ -165,22 +152,16 @@ class Simulator:
             f"process {process.name!r} died at t={self.now:.9f}s: {exc!r}"
         ) from exc
 
-    def _abort_batch(self, batch: list, n: int) -> None:
-        """Hand the undispatched tail of ``batch`` back to the queue
-        (early stop: the until-event fired or a process crashed)."""
-        rest = self._inflight
-        if rest:
-            self.queue.requeue(batch[n - rest:])
-            self.dispatched -= rest
-            self._inflight = 0
-
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Dispatch the next live event, skipping cancelled entries.
         Raises IndexError if no live event remains in the queue."""
-        when, _seq, event = self.queue.pop()
+        entry = self.queue.pop()
+        if entry is None:
+            raise IndexError("step on an empty event queue")
+        when, _seq, event = entry
         self.now = when
         self.dispatched += 1
         obs = self.obs
@@ -189,29 +170,6 @@ class Simulator:
         event._process()
         if self._crashed:
             self._raise_crash()
-
-    def _dispatch_batch_slow(self, batch: list, obs, stop: Optional[Event]) -> None:
-        """Instrumented batch dispatch: per-event obs instants, no
-        pooling.  Books and schedule match the fast loop exactly,
-        including the early-out when ``stop`` fires mid-batch."""
-        q = self.queue
-        n = len(batch)
-        for entry in batch:
-            self._inflight -= 1
-            event = entry[2]
-            if event._cancelled:
-                self.dispatched -= 1
-                q.skip_inflight()
-                continue
-            if event.name and obs.wants("sim"):
-                obs.instant("sim", "dispatch", args={"event": event.name})
-            event._process()
-            if self._crashed:
-                self._abort_batch(batch, n)
-                self._raise_crash()
-            if stop is not None and stop.callbacks is None:
-                self._abort_batch(batch, n)
-                return
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run the simulation.
@@ -224,11 +182,8 @@ class Simulator:
             ``Event``  -- run until this event has been processed and
             return its value (raising if it failed).
 
-        All forms share one inlined loop dispatching batches of
-        same-timestamp events -- this is the simulator's hot path.  A
-        singleton batch (the common case in the MPI workloads) skips the
-        in-flight bookkeeping entirely: with no same-timestamp sibling,
-        nothing can cancel the event between extraction and dispatch.
+        All forms share one inlined loop popping one event at a time --
+        this is the simulator's hot path.
         """
         stop: Optional[Event] = None
         horizon: Optional[float] = None
@@ -241,20 +196,21 @@ class Simulator:
                     stop.add_callback(_consume)
             else:
                 horizon = float(until)
-                if horizon < self.now:
+                if not horizon >= self.now:
+                    # Also rejects NaN, which would leave now == nan.
                     raise ValueError(
-                        f"cannot run until {horizon} < now ({self.now})"
+                        f"cannot run until {horizon}: before now "
+                        f"({self.now}) or NaN"
                     )
 
-        q = self.queue
-        pop_batch = q.pop_batch
+        pop = self.queue.pop
         pool = self._pool
         pool_append = pool.append
         getrc = _getrefcount
 
         while stop is None or stop.callbacks is not None:
-            batch = pop_batch(horizon)
-            if batch is None:
+            entry = pop(horizon)
+            if entry is None:
                 if stop is not None:
                     raise SimulationError(
                         f"simulation ran out of events before {stop!r} "
@@ -263,70 +219,27 @@ class Simulator:
                 if horizon is not None:
                     self.now = horizon
                 return None
-            if type(batch) is tuple:
-                # Singleton batch, returned as a bare entry.
-                self.now = batch[0]
-                obs = self.obs
-                if obs is not None and obs.wants("sim"):
-                    self.dispatched += 1
-                    self._inflight = 1
-                    self._dispatch_batch_slow([batch], obs, stop)
-                    continue
-                event = batch[2]
-                self.dispatched += 1
-                event._triggered = True
-                callbacks = event.callbacks
-                event.callbacks = None
-                for cb in callbacks:
-                    cb(event)
-                if self._crashed:
-                    self._raise_crash()
-                if (
-                    type(event) is Timeout
-                    and getrc(event) == _POOL_REFS
-                    and len(pool) < _POOL_MAX
-                ):
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    pool_append(event)
-                continue
-            self.now = batch[0][0]
+            self.now = entry[0]
+            event = entry[2]
+            self.dispatched += 1
             obs = self.obs
-            if obs is not None and obs.wants("sim"):
-                n = len(batch)
-                self.dispatched += n
-                self._inflight = n
-                self._dispatch_batch_slow(batch, obs, stop)
-                continue
-            n = len(batch)
-            self.dispatched += n
-            self._inflight = n
-            for entry in batch:
-                self._inflight -= 1
-                event = entry[2]
-                if event._cancelled:
-                    self.dispatched -= 1
-                    q.skip_inflight()
-                    continue
-                event._triggered = True
-                callbacks = event.callbacks
-                event.callbacks = None
-                for cb in callbacks:
-                    cb(event)
-                if self._crashed:
-                    self._abort_batch(batch, n)
-                    self._raise_crash()
-                if (
-                    type(event) is Timeout
-                    and getrc(event) == _POOL_REFS
-                    and len(pool) < _POOL_MAX
-                ):
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    pool_append(event)
-                if stop is not None and stop.callbacks is None:
-                    self._abort_batch(batch, n)
-                    break
+            if obs is not None and event.name and obs.wants("sim"):
+                obs.instant("sim", "dispatch", args={"event": event.name})
+            event._triggered = True
+            callbacks = event.callbacks
+            event.callbacks = None
+            for cb in callbacks:
+                cb(event)
+            if self._crashed:
+                self._raise_crash()
+            if (
+                type(event) is Timeout
+                and getrc(event) == _POOL_REFS
+                and len(pool) < _POOL_MAX
+            ):
+                callbacks.clear()
+                event.callbacks = callbacks
+                pool_append(event)
 
         if not stop.ok:
             stop._defused = True
@@ -334,15 +247,12 @@ class Simulator:
         return stop.value
 
     # ------------------------------------------------------------------
-    # Queue accounting.  Delegated so obs summaries and tests read the
-    # same fields whichever queue implementation is plugged in.
+    # Queue accounting, delegated to the queue's books.
     # ------------------------------------------------------------------
     @property
     def queued_events(self) -> int:
-        """Number of *live* (non-cancelled) events still pending,
-        including the undispatched tail of the batch currently in
-        flight."""
-        return self.queue.live + self._inflight
+        """Number of *live* (non-cancelled) events still pending."""
+        return self.queue.live
 
     @property
     def dead_events(self) -> int:
@@ -351,8 +261,7 @@ class Simulator:
 
     @property
     def heap_size(self) -> int:
-        """Raw queue length, live plus dead (name kept from the
-        heap-only era; sized the same for every queue impl)."""
+        """Raw queue length, live plus dead."""
         return self.queue.size
 
     @property
@@ -368,7 +277,7 @@ class Simulator:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Simulator t={self.now:.9f}s queued={self.queued_events} "
-            f"dead={self.queue.dead} scheduler={self.queue.kind}>"
+            f"dead={self.queue.dead}>"
         )
 
 

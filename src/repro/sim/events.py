@@ -199,8 +199,9 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim, delay: float, value: Any = None, name: str = ""):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not delay >= 0:
+            # Also rejects NaN, which would break the (time, seq) order.
+            raise ValueError(f"negative or NaN delay {delay!r}")
         super().__init__(sim, name=name)
         self.delay = delay
         self._value = value

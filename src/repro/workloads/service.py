@@ -38,7 +38,7 @@ Determinism: all randomness comes from the per-client-rank RNG stream
 deterministic functions of the simulated clock.  A run's
 :attr:`ServiceResult.fingerprint` hashes arrival times, the issue
 (retry/hedge) schedule, shed decisions, and outcomes -- the replay
-tests pin it across schedulers, and ``RobustConfig.none()`` runs are
+tests pin it, and ``RobustConfig.none()`` runs are
 bit-identical to runs that never pass a config at all.
 """
 

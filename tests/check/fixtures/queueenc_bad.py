@@ -4,7 +4,7 @@ from heapq import heappush
 
 
 def sneak_past_the_interface(sim):
-    # Scheduling around the EventQueue API: heap-era attribute pokes.
+    # Scheduling around the EventQueue API: heap and pool pokes.
     heappush(sim._heap, (0.0, 0, None))
     heapq.heappop(sim._heap)
     sim._pool.clear()
@@ -12,9 +12,7 @@ def sneak_past_the_interface(sim):
     return sim.queue._dead
 
 
-def poke_calendar_state(queue):
-    queue._buckets.clear()
-    queue._cur = 0
-    width = queue._inv_width
-    queue._grow_at = 1 << 30
-    return width
+def unbalance_the_books(queue):
+    queue._heap.clear()
+    queue._dead = 0
+    return queue._heap

@@ -10,6 +10,6 @@ def schedule_and_inspect(sim):
 
 
 def drain(queue):
-    batch = queue.pop_batch()
-    queue.push(0.0, 0, batch)
+    entry = queue.pop(horizon=1e-6)
+    queue.push(0.0, 0, entry)
     return queue.live, queue.dead, queue.size, queue.skipped

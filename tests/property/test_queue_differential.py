@@ -1,16 +1,20 @@
-"""Differential property tests: heap vs calendar queue (hypothesis).
+"""Specification property tests for the event queue (hypothesis).
 
-The heap is the bit-identity reference; the calendar queue must be
-indistinguishable from it at the dispatch level.  The harness drives
-both schedulers through random schedule/cancel/run interleavings --
-including nested scheduling from inside callbacks, same-timestamp ties,
-horizon runs and cancel storms -- and asserts:
+The harness drives the simulator through random schedule/cancel/run
+interleavings -- nested scheduling from inside callbacks, same-timestamp
+ties, horizon runs and cancel storms -- and checks the dispatch trace
+against the queue's rules themselves:
 
-* **bit-identity** -- the two runs dispatch the same events at exactly
-  the same (float-equal) times in the same order;
-* **books balance** -- after any interleaving, ``live + dead == size``
-  and every scheduled event is eventually dispatched or skipped, with
-  Timeout pooling active (pooling must be schedule-neutral, not just
+* **order** -- dispatches come in non-decreasing ``(time, creation
+  order)``, each at exactly its due time;
+* **exactly once** -- every live timer fires once, no cancelled timer
+  fires;
+* **horizon-neutral** -- a run to a horizon dispatches exactly the
+  events due at or before it, and a run split there gives the same
+  trace as one uninterrupted run;
+* **books balance** -- afterwards ``live + dead == size == 0``, and
+  ``dispatched + skipped`` covers every scheduled timer, with Timeout
+  pooling active (pooling must be schedule-neutral, not just
   allocation-neutral).
 """
 
@@ -29,41 +33,58 @@ _op = st.tuples(
 )
 
 
-def _run(scheduler, plan, horizon_ns):
-    sim = Simulator(seed=0, scheduler=scheduler)
+def _run(plan, horizon_ns):
+    """Run ``plan``; return the simulator, the dispatch trace of
+    ``(time, creation index, due time, label)``, the trace length at the
+    horizon, and the labels of the timers that were created and
+    successfully cancelled."""
+    sim = Simulator(seed=0)
     trace = []
+    created = []
+    cancelled = set()
     cancellers = []
 
-    def fire(i, spawn):
+    def schedule(label, delay, spawn):
+        idx = len(created)
+        created.append(label)
+        due = sim.now + delay
+        ev = sim.timeout(delay, name=str(label))
+        ev.callbacks.append(fire(label, idx, due, spawn))
+        return ev
+
+    def cancel(label, ev):
+        if ev.cancel():
+            cancelled.add(label)
+
+    def fire(label, idx, due, spawn):
         def cb(_ev):
-            trace.append((i, sim.now))
+            trace.append((sim.now, idx, due, label))
             # Nested scheduling from inside a dispatch, including
-            # zero-delay events that join the in-flight timestamp.
+            # zero-delay events that join the current timestamp.
             for k in range(spawn):
-                nested = sim.timeout(k * 7 * NS, name=f"n{i}.{k}")
-                nested.callbacks.append(fire((i, k), 0))
+                schedule((label, k), k * 7 * NS, 0)
             if spawn and cancellers:
-                # Cancel a sibling mid-run: exercises in-flight and
-                # lazy-deletion paths differently per queue.
-                cancellers.pop().cancel()
+                # Cancel a pending (or already fired) timer mid-run.
+                cancel(*cancellers.pop())
         return cb
 
-    for i, (delay, cancel, spawn) in enumerate(plan):
-        ev = sim.timeout(delay * NS, name=f"t{i}")
-        ev.callbacks.append(fire(i, spawn))
-        if cancel:
-            cancellers.append(ev)
+    for i, (delay, do_cancel, spawn) in enumerate(plan):
+        ev = schedule(i, delay * NS, spawn)
+        if do_cancel:
+            cancellers.append((i, ev))
     # Half the cancellations happen up front, half from callbacks.
-    for ev in cancellers[: len(cancellers) // 2]:
-        ev.cancel()
+    for label, ev in cancellers[: len(cancellers) // 2]:
+        cancel(label, ev)
     del cancellers[: len(cancellers) // 2]
 
+    split = None
     if horizon_ns is not None:
         sim.run(until=horizon_ns * NS)
+        split = len(trace)
         sim.run()
     else:
         sim.run()
-    return sim, trace
+    return sim, trace, split, created, cancelled
 
 
 @given(
@@ -71,24 +92,35 @@ def _run(scheduler, plan, horizon_ns):
     horizon_ns=st.none() | st.integers(0, 400),
 )
 @settings(max_examples=60, deadline=None)
-def test_heap_and_calendar_dispatch_identically(plan, horizon_ns):
-    sim_h, trace_h = _run("heap", plan, horizon_ns)
-    sim_c, trace_c = _run("calendar", plan, horizon_ns)
+def test_dispatch_follows_the_queue_rules(plan, horizon_ns):
+    sim, trace, split, created, cancelled = _run(plan, horizon_ns)
 
-    # Bit-identity: same events, same order, float-equal timestamps.
-    assert trace_h == trace_c
-    assert sim_h.now == sim_c.now
+    # Order: non-decreasing (time, creation order), each at its due time.
+    keys = [(t, idx) for t, idx, _due, _label in trace]
+    assert keys == sorted(keys)
+    assert all(t == due for t, _idx, due, _label in trace)
 
-    # The two queues account identically at the engine level.
-    assert sim_h.dispatched == sim_c.dispatched
-    assert sim_h.skipped == sim_c.skipped
-    assert sim_h.queued_events == sim_c.queued_events == 0
+    # Exactly once: every live timer fires once, no cancelled one fires.
+    fired = [label for *_, label in trace]
+    assert len(fired) == len(set(fired))
+    assert set(fired) == set(created) - cancelled
 
-    # Books balance under pooling, for both implementations.
-    for sim in (sim_h, sim_c):
-        q = sim.queue
-        assert q.live + q.dead == q.size == 0
-        assert sim.dispatched + sim.skipped >= len(plan)
+    # Horizon-neutral: the first leg stops exactly at the horizon, and
+    # splitting the run changes nothing.
+    if horizon_ns is not None:
+        horizon = horizon_ns * NS
+        assert all(t <= horizon for t, *_ in trace[:split])
+        assert all(t > horizon for t, *_ in trace[split:])
+        whole = _run(plan, None)[1]
+        assert trace == whole
+
+    # Books balance under pooling.
+    q = sim.queue
+    assert q.live + q.dead == q.size == 0
+    assert sim.queued_events == 0
+    assert sim.dispatched == len(fired)
+    assert sim.skipped == len(cancelled)
+    assert sim.dispatched + sim.skipped == len(created)
 
 
 @given(plan=st.lists(_op, min_size=5, max_size=40), seed=st.integers(0, 99))

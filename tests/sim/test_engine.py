@@ -43,6 +43,22 @@ def test_negative_timeout_rejected():
         sim.timeout(-1.0)
 
 
+@pytest.mark.parametrize("pooled", [False, True])
+def test_nan_delay_rejected(pooled):
+    # A NaN key compares false both ways and breaks (time, seq) order
+    # (a NaN timer would run before a 1 ns one), on either the pooled
+    # or the allocating path.
+    sim = Simulator()
+    if pooled:
+        sim.timeout(1e-9)
+        sim.run()  # leaves a pooled Timeout behind
+    with pytest.raises(ValueError, match="NaN"):
+        sim.timeout(float("nan"))
+    with pytest.raises(ValueError, match="NaN"):
+        sim.call_after(float("nan"), print)
+    assert sim.queued_events == 0
+
+
 def test_run_until_time():
     sim = Simulator()
     fired = []
@@ -60,6 +76,15 @@ def test_run_until_past_raises():
     sim.run(until=5.0)
     with pytest.raises(ValueError):
         sim.run(until=1.0)
+
+
+def test_run_until_nan_raises():
+    sim = Simulator()
+    sim.call_after(1.0, print)
+    with pytest.raises(ValueError, match="NaN"):
+        sim.run(until=float("nan"))
+    assert sim.now == 0.0
+    assert sim.queued_events == 1
 
 
 def test_run_until_event_returns_value():
