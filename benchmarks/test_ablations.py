@@ -260,7 +260,8 @@ def test_ablation_socket_aware_lock_starves(benchmark):
             s = Simulator(seed=3)
             machine = nehalem_node()
             trace = LockTrace()
-            lock = make_lock(kind, s, CostModel(), trace=trace)
+            lock = make_lock(kind, s, CostModel())
+            lock.on_grant.append(trace.record_grant)
             cores = scatter_binding(machine, 4)
 
             def worker(ctx):

@@ -29,7 +29,8 @@ def main() -> None:
     sim = Simulator(seed=args.seed)
     machine = nehalem_node()
     trace = LockTrace()
-    lock = make_lock(args.lock, sim, CostModel(), trace=trace)
+    lock = make_lock(args.lock, sim, CostModel())
+    lock.on_grant.append(trace.record_grant)
     horizon = args.duration_us * 1e-6
 
     threads = [

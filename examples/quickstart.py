@@ -26,7 +26,7 @@ def main() -> None:
 
     rows = []
     baseline = None
-    for method in ("null", "mutex", "ticket", "priority", "mcs"):
+    for method in ("null", "mutex", "ticket", "priority"):
         threads = 1 if method == "null" else args.threads
         cluster = throughput_cluster(
             lock=method, threads_per_rank=threads, seed=args.seed

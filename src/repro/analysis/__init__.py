@@ -14,12 +14,6 @@ from .ablation import (
 )
 from .bias import BiasFactors, compute_bias_factors
 from .dangling import DanglingProfiler, DanglingStats
-from .lock_report import (
-    LockUsage,
-    analyze_lock_usage,
-    transition_histogram,
-    wasted_acquisition_fraction,
-)
 from .metrics import TimeBreakdown, message_rate_k, speedup
 from .report import format_rate, format_size, format_table
 
@@ -37,10 +31,6 @@ __all__ = [
     "compute_bias_factors",
     "DanglingProfiler",
     "DanglingStats",
-    "LockUsage",
-    "analyze_lock_usage",
-    "transition_histogram",
-    "wasted_acquisition_fraction",
     "TimeBreakdown",
     "message_rate_k",
     "speedup",

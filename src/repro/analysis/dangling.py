@@ -27,50 +27,22 @@ class DanglingStats:
 
 
 class DanglingProfiler:
-    """Attach to a runtime's critical section; sample its dangling count.
+    """Attach to a runtime's critical section; sample its dangling count
+    on every lock grant (``on_grant`` hook)."""
 
-    Directly hooks the lock's grant callback by default; with
-    :meth:`from_bus` it becomes a thin adapter over the observability
-    bus, sampling on the same lock-grant instants.  Both sample at
-    identical simulated times.
-    """
-
-    def __init__(self, runtime: MpiRuntime, _attach: bool = True):
+    def __init__(self, runtime: MpiRuntime):
         self.runtime = runtime
         self.samples: List[int] = []
         self._hook = lambda lock, ctx: self.samples.append(runtime.dangling_count)
-        self._bus = None
-        if _attach:
-            # Hook every arbitration domain's lock: any CS grant on this
-            # rank is a sampling instant (with the global policy this is
-            # exactly the single-lock behaviour).
-            for dom in runtime.domains:
-                dom.lock.on_grant.append(self._hook)
-
-    @classmethod
-    def from_bus(cls, bus, runtime: MpiRuntime) -> "DanglingProfiler":
-        """Sample on this runtime's lock-grant events from the bus."""
-        prof = cls(runtime, _attach=False)
-        prof._bus = bus
-        grant_names = frozenset(
-            f"{dom.lock.name}.grant" for dom in runtime.domains
-        )
-
-        def on_event(ev, _prof=prof, _names=grant_names):
-            if ev.kind.name == "INSTANT" and ev.name in _names:
-                _prof.samples.append(_prof.runtime.dangling_count)
-
-        prof._bus_hook = on_event
-        bus.subscribe(on_event, categories=("lock",))
-        return prof
+        # Hook every arbitration domain's lock: any CS grant on this
+        # rank is a sampling instant (with the global policy this is
+        # exactly the single-lock behaviour).
+        for dom in runtime.domains:
+            dom.lock.on_grant.append(self._hook)
 
     def detach(self) -> None:
-        if self._bus is not None:
-            self._bus.unsubscribe(self._bus_hook)
-            self._bus = None
-        else:
-            for dom in self.runtime.domains:
-                dom.lock.on_grant.remove(self._hook)
+        for dom in self.runtime.domains:
+            dom.lock.on_grant.remove(self._hook)
 
     # ------------------------------------------------------------------
     @property

@@ -5,46 +5,30 @@ implementations:
 
 =============  =====================================================
 ``mutex``      NPTL pthread mutex model (baseline, paper 2.2)
-``adaptive``   glibc adaptive mutex: spin briefly, then park
 ``ticket``     FCFS ticket lock (paper 5.1, Fig. 4)
 ``priority``   Two-level priority ticket lock (paper 5.2, Fig. 7)
-``mcs``        MCS queue lock (related work)
-``tas``        Test-and-set spinlock (related work)
-``ttas``       Test-and-test-and-set spinlock (related work)
 ``socket``     Socket-aware lock (paper 7 discussion; ablation)
-``clh``        CLH queue lock (related work)
-``cohort``     NUMA cohort lock with bounded local handover (extension)
 ``null``       No-op lock for MPI_THREAD_SINGLE runs
 =============  =====================================================
 """
 
 from .base import LockError, NullLock, Priority, SimLock
-from .clh import CLHLock
-from .cohort import CohortTicketLock
 from .domain import ArbitrationDomain, DomainStats, aggregate_domain_stats
-from .mcs import MCSLock
-from .mutex import AdaptiveMutexModel, PthreadMutexModel
+from .mutex import PthreadMutexModel
 from .priority import PriorityTicketLock, SocketAwareLock
-from .spin import TASLock, TTASLock
 from .stats import LockTrace
 from .ticket import TicketLock
 
 LOCK_CLASSES = {
     "mutex": PthreadMutexModel,
-    "adaptive": AdaptiveMutexModel,
     "ticket": TicketLock,
     "priority": PriorityTicketLock,
-    "mcs": MCSLock,
-    "tas": TASLock,
-    "ttas": TTASLock,
     "socket": SocketAwareLock,
-    "clh": CLHLock,
-    "cohort": CohortTicketLock,
     "null": NullLock,
 }
 
 
-def make_lock(kind: str, sim, costs, name: str = "", trace=None) -> SimLock:
+def make_lock(kind: str, sim, costs, name: str = "") -> SimLock:
     """Instantiate a lock by config name (see ``LOCK_CLASSES``)."""
     try:
         cls = LOCK_CLASSES[kind]
@@ -52,7 +36,7 @@ def make_lock(kind: str, sim, costs, name: str = "", trace=None) -> SimLock:
         raise ValueError(
             f"unknown lock kind {kind!r}; expected one of {sorted(LOCK_CLASSES)}"
         ) from None
-    return cls(sim, costs, name=name or kind, trace=trace)
+    return cls(sim, costs, name=name or kind)
 
 
 __all__ = [
@@ -62,15 +46,9 @@ __all__ = [
     "LockError",
     "LockTrace",
     "PthreadMutexModel",
-    "AdaptiveMutexModel",
     "TicketLock",
-    "MCSLock",
-    "TASLock",
-    "TTASLock",
     "PriorityTicketLock",
     "SocketAwareLock",
-    "CLHLock",
-    "CohortTicketLock",
     "LOCK_CLASSES",
     "make_lock",
     "ArbitrationDomain",

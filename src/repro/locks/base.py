@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..machine.costs import NS, CostModel
 from ..machine.threads import ThreadCtx
 from ..machine.topology import Core, Proximity
-from .stats import LockTrace
 
 __all__ = ["Priority", "SimLock", "NullLock", "LockError"]
 
@@ -45,7 +44,7 @@ class LockError(RuntimeError):
 
 
 class SimLock:
-    """Base class: contention bookkeeping, trace recording, grant hooks."""
+    """Base class: contention bookkeeping and grant hooks."""
 
     #: If True, release() must be called by the owning thread.
     strict_owner = True
@@ -54,26 +53,20 @@ class SimLock:
     #: whose ownership belongs to a priority *class*, not a thread).
     allow_owner_reentry = False
 
-    def __init__(
-        self,
-        sim,
-        costs: CostModel,
-        name: str = "",
-        trace: Optional[LockTrace] = None,
-    ):
+    def __init__(self, sim, costs: CostModel, name: str = ""):
         self.sim = sim
         self.costs = costs
         self.lock_id = next(_lock_ids)
         self.name = name or f"{type(self).__name__}#{self.lock_id}"
-        self.trace = trace
         self.owner: Optional[ThreadCtx] = None
         #: Cache line home: core of the last thread that touched the lock word.
         self.line_owner: Optional[Core] = None
         self._contenders: Dict[int, ThreadCtx] = {}
-        self._grant_time: float = 0.0
         #: Core of the previous owner (hand-off distance instrumentation).
         self._prev_owner_core: Optional[Core] = None
-        #: Hooks ``cb(lock, ctx)`` invoked on every successful acquisition.
+        #: Hooks ``cb(lock, ctx)`` invoked on every successful acquisition,
+        #: while the winner is still counted in ``_contenders`` (the
+        #: acquisition trace reads the contender set at grant time).
         self.on_grant: List[Callable] = []
         #: Witness family override for deadcheck's order-witness diff
         #: (e.g. ``"PriorityTicketLock.ticket_h"`` on the priority
@@ -216,26 +209,16 @@ class SimLock:
             )
         self.owner = ctx
         ctx.held.add(self)
-        self._grant_time = self.sim.now
-        if self.trace is not None:
-            self.trace.record_grant(self.sim.now, ctx, self._contenders)
+        for cb in self.on_grant:
+            cb(self, ctx)
         obs = self.sim.obs
         if obs is not None and obs.wants("lock"):
             rank = ctx.rank if ctx.rank is not None else -1
             obs.span_end("lock", f"{self.name}.wait", rank=rank, tid=ctx.tid)
             obs.span_begin("lock", f"{self.name}.hold", rank=rank, tid=ctx.tid)
-            # Grant instants carry everything the bias estimators need
-            # (winner socket, contender sockets at grant time, winner
-            # included) -- the LockTrace bus adapter rebuilds the paper's
-            # trace columns from these alone.
             obs.instant(
                 "lock", f"{self.name}.grant", rank=rank, tid=ctx.tid,
-                args={
-                    "socket": ctx.socket,
-                    "sockets": tuple(
-                        c.socket for c in self._contenders.values()
-                    ),
-                },
+                args={"socket": ctx.socket},
             )
             prev = self._prev_owner_core
             if prev is not None:
@@ -277,8 +260,6 @@ class SimLock:
                         "acquired_name": self.name,
                     },
                 )
-        for cb in self.on_grant:
-            cb(self, ctx)
 
     def _release_checks(self, ctx: ThreadCtx) -> None:
         if self.owner is None:
@@ -287,8 +268,6 @@ class SimLock:
             raise LockError(
                 f"{ctx.name} released {self.name} held by {self.owner.name}"
             )
-        if self.trace is not None:
-            self.trace.record_release(self.sim.now, self._grant_time)
         obs = self.sim.obs
         if obs is not None and obs.wants("lock"):
             # End the *owner's* hold span (strict_owner=False locks may

@@ -31,14 +31,14 @@ from typing import Deque, Tuple
 from ..machine.threads import ThreadCtx
 from .base import Priority, SimLock
 
-__all__ = ["PthreadMutexModel", "AdaptiveMutexModel"]
+__all__ = ["PthreadMutexModel"]
 
 
 class PthreadMutexModel(SimLock):
     """Futex-based mutex with user-space barging (NPTL default type)."""
 
-    def __init__(self, sim, costs, name: str = "", trace=None):
-        super().__init__(sim, costs, name=name, trace=trace)
+    def __init__(self, sim, costs, name: str = ""):
+        super().__init__(sim, costs, name=name)
         #: Parked threads in kernel FIFO order: (wake_event, ctx).
         self._futex_q: Deque[Tuple[object, ThreadCtx]] = deque()
         #: Diagnostic counters.
@@ -95,42 +95,3 @@ class PthreadMutexModel(SimLock):
             cost += self.costs.futex_wake_syscall
         return cost
 
-
-class AdaptiveMutexModel(PthreadMutexModel):
-    """glibc's ``PTHREAD_MUTEX_ADAPTIVE_NP``: spin briefly before parking.
-
-    The thread retries its CAS in user space for up to ``max_spins``
-    attempts (each paying the RMW latency plus a pause) and only then
-    falls back to the futex.  Spinning keeps short waits cheap and makes
-    the arbitration race *more* proximity-biased than the default mutex
-    (spinners are always in the race), while long waits still park --
-    an intermediate point between the mutex and the spinlocks.
-    """
-
-    #: CAS retries in user space before parking.
-    max_spins = 10
-    #: Pause between spin attempts (ns).
-    spin_pause_ns = 40.0
-
-    def acquire(self, ctx: ThreadCtx, priority: Priority = Priority.HIGH):
-        self._enter(ctx)
-        while True:
-            # --- adaptive user-space spin phase ------------------------
-            for _ in range(self.max_spins):
-                yield self.sim.timeout(self._atomic_cost(ctx.core))
-                self.cas_attempts += 1
-                self.line_owner = ctx.core
-                if self.owner is None:
-                    self._grant(ctx)
-                    return
-                self.cas_failures += 1
-                yield self.sim.timeout(self.spin_pause_ns * 1e-9)
-
-            # --- kernel path: park on the futex ------------------------
-            yield self.sim.timeout(self.costs.futex_sleep)
-            if self.owner is None:
-                continue
-            self.futex_waits += 1
-            ev = self.sim.event(name=f"futex:{self.name}:{ctx.name}")
-            self._futex_q.append((ev, ctx))
-            yield ev

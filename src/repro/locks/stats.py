@@ -6,9 +6,7 @@ exactly the quantities those estimators need, per acquisition ``l``:
 
 * the winner's thread id and socket,
 * ``T_l``          -- total threads contending (winner included),
-* ``T_{j,l}``      -- contenders on the *previous* owner's socket,
-
-plus hold times for auxiliary analysis.
+* ``T_{j,l}``      -- contenders on the *previous* owner's socket.
 """
 
 from __future__ import annotations
@@ -25,83 +23,26 @@ __all__ = ["LockTrace"]
 class LockTrace:
     """Append-only acquisition trace with numpy export.
 
-    Two ways to populate one:
-
-    * pass it to a lock (``make_lock(..., trace=trace)``): the lock
-      calls :meth:`record_grant` / :meth:`record_release` directly
-      (zero dependencies, the historical path);
-    * :meth:`from_bus`: subscribe to a :class:`repro.obs.Instrument`
-      bus and rebuild the same columns from ``lock`` events -- the
-      trace becomes a thin adapter over the unified observability
-      stream.  Both paths produce identical arrays for the same run.
+    A lock feeds it through its grant hooks:
+    ``lock.on_grant.append(trace.record_grant)``.  One trace may
+    subscribe to several locks (a rank's arbitration domains); the
+    previous-owner socket then spans all of them.
     """
 
     def __init__(self):
-        self.times: list[float] = []
         self.tids: list[int] = []
         self.sockets: list[int] = []
         self.n_contenders: list[int] = []
         self.n_contenders_prev_socket: list[int] = []
-        self.hold_times: list[float] = []
         self._prev_socket: Optional[int] = None
-        self._bus = None
-        self._last_grant_ts: Optional[float] = None
-        self._bus_lock_name: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.tids)
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_bus(cls, bus, lock_name: Optional[str] = None) -> "LockTrace":
-        """Build a trace fed by bus events instead of direct lock calls.
-
-        ``lock_name`` filters to one lock's events (e.g.
-        ``"mutex@rank0"``); ``None`` accepts every lock on the bus --
-        only sensible when a single lock is being traced.
-        """
-        trace = cls()
-        trace._bus = bus
-        trace._bus_lock_name = lock_name
-        bus.subscribe(trace._on_event, categories=("lock",))
-        return trace
-
-    def detach(self) -> None:
-        """Stop consuming bus events (no-op for directly-fed traces)."""
-        if self._bus is not None:
-            self._bus.unsubscribe(self._on_event)
-            self._bus = None
-
-    def _on_event(self, ev) -> None:
-        # Grant instants carry the winner's socket and the contender
-        # socket snapshot (winner included); hold-span ends mark the
-        # release.  Event names are "<lock>.grant" / "<lock>.hold".
-        base, _, suffix = ev.name.rpartition(".")
-        if self._bus_lock_name is not None and base != self._bus_lock_name:
-            return
-        if suffix == "grant" and ev.kind.name == "INSTANT":
-            sockets = tuple(ev.args["sockets"]) if ev.args else ()
-            self.times.append(ev.ts)
-            self.tids.append(ev.tid)
-            self.sockets.append(ev.args["socket"] if ev.args else -1)
-            self.n_contenders.append(len(sockets))
-            prev = self._prev_socket
-            self.n_contenders_prev_socket.append(
-                0 if prev is None else sum(1 for s in sockets if s == prev)
-            )
-            self._prev_socket = ev.args["socket"] if ev.args else None
-            self._last_grant_ts = ev.ts
-        elif suffix == "hold" and ev.kind.name == "SPAN_END":
-            if self._last_grant_ts is not None:
-                self.record_release(ev.ts, self._last_grant_ts)
-
-    # ------------------------------------------------------------------
-    def record_grant(
-        self, now: float, winner: ThreadCtx, contenders: Dict[int, ThreadCtx]
-    ) -> None:
-        """Record acquisition ``l``: called at grant time, winner still in
-        ``contenders``."""
-        self.times.append(now)
+    def record_grant(self, lock, winner: ThreadCtx) -> None:
+        """Record acquisition ``l`` of ``lock``: an ``on_grant`` hook, run
+        while the winner is still among the lock's contenders."""
+        contenders = lock._contenders
         self.tids.append(winner.tid)
         self.sockets.append(winner.socket)
         self.n_contenders.append(len(contenders))
@@ -114,21 +55,16 @@ class LockTrace:
             )
         self._prev_socket = winner.socket
 
-    def record_release(self, now: float, grant_time: float) -> None:
-        self.hold_times.append(now - grant_time)
-
     # ------------------------------------------------------------------
     def as_arrays(self) -> dict:
         """Trace columns as numpy arrays (copies)."""
         return {
-            "times": np.asarray(self.times, dtype=np.float64),
             "tids": np.asarray(self.tids, dtype=np.int64),
             "sockets": np.asarray(self.sockets, dtype=np.int64),
             "n_contenders": np.asarray(self.n_contenders, dtype=np.int64),
             "n_contenders_prev_socket": np.asarray(
                 self.n_contenders_prev_socket, dtype=np.int64
             ),
-            "hold_times": np.asarray(self.hold_times, dtype=np.float64),
         }
 
     def acquisitions_by_tid(self) -> Dict[int, int]:

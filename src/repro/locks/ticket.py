@@ -26,8 +26,8 @@ class TicketLock(SimLock):
     # the acquirer (Fig. 7), so ownership is asserted loosely.
     strict_owner = False
 
-    def __init__(self, sim, costs, name: str = "", trace=None):
-        super().__init__(sim, costs, name=name, trace=trace)
+    def __init__(self, sim, costs, name: str = ""):
+        super().__init__(sim, costs, name=name)
         self.next_ticket = 0
         self.now_serving = 0
         #: ticket number -> (grant event, waiting thread)

@@ -195,9 +195,6 @@ class Cluster:
             node = rank // config.ranks_per_node
             machine = self.machines[node]
             nic = self.fabric.register_rank(rank, node, n_vcis=policy.n_domains)
-            trace = LockTrace() if config.trace_locks else None
-            if trace is not None:
-                self.lock_traces[rank] = trace
             # One lock per arbitration domain.  With a single domain the
             # name stays exactly "<lock>@rank<N>" -- lock RNG streams are
             # keyed by name, so this keeps the global policy bit-for-bit
@@ -210,10 +207,13 @@ class Cluster:
                         if policy.n_domains == 1
                         else f"{lock_kind}@rank{rank}.d{di}"
                     ),
-                    trace=trace,
                 )
                 for di in range(policy.n_domains)
             ]
+            if config.trace_locks:
+                trace = self.lock_traces[rank] = LockTrace()
+                for lock in locks:
+                    lock.on_grant.append(trace.record_grant)
             rt = MpiRuntime(
                 self.sim, rank, self.fabric, nic, locks[0], config.costs,
                 eager_threshold=config.eager_threshold,

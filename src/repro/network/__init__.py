@@ -2,9 +2,5 @@
 
 from .fabric import Fabric, NetworkConfig, RankNic
 from .message import Packet, PacketKind
-from .trace import PacketRecord, PacketTracer, TrafficSummary
 
-__all__ = [
-    "Fabric", "NetworkConfig", "RankNic", "Packet", "PacketKind",
-    "PacketTracer", "PacketRecord", "TrafficSummary",
-]
+__all__ = ["Fabric", "NetworkConfig", "RankNic", "Packet", "PacketKind"]

@@ -238,8 +238,6 @@ class Fabric:
                 obs.async_end(
                     "net", packet.kind.value, span_id=packet.seq,
                     rank=packet.src_rank,
-                    src=packet.src_rank, dst=packet.dst_rank,
-                    nbytes=packet.nbytes,
                 )
             for cb in self.on_deliver:
                 cb(packet)
@@ -270,7 +268,6 @@ class Fabric:
             obs.async_end(
                 "net", packet.kind.value, span_id=packet.seq,
                 rank=packet.src_rank,
-                src=packet.src_rank, dst=packet.dst_rank, nbytes=packet.nbytes,
             )
         if nic.on_packet is not None:
             nic.on_packet(packet)

@@ -4,8 +4,7 @@ One instrumentation API for every layer of the reproduction.  The
 simulator core, the lock framework, the MPI runtime and the network
 fabric all emit typed events (span begin/end, async span, counter,
 instant) keyed by ``(category, name, rank, tid)`` onto a pub/sub
-:class:`Instrument` bus; exporters and the legacy analysis tools
-subscribe to it.
+:class:`Instrument` bus; exporters and the checkers subscribe to it.
 
 Quick start::
 

@@ -14,8 +14,7 @@ Design constraints, in order:
    simulated clocks.
 3. **One API for every layer.**  ``Simulator``, ``SimLock``,
    ``MpiRuntime`` and ``Fabric`` all emit through the same six methods;
-   consumers (Chrome-trace export, counter dumps, the legacy
-   ``LockTrace``/``PacketTracer``/``DanglingProfiler`` adapters)
+   consumers (Chrome-trace export, counter dumps, the checkers)
    subscribe with an optional category filter.
 """
 

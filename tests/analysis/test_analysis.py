@@ -16,14 +16,12 @@ from repro.analysis import (
 from repro.locks import LockTrace
 
 
-def synthetic_trace(tids, sockets, contenders, prev_socket_counts, holds=None):
+def synthetic_trace(tids, sockets, contenders, prev_socket_counts):
     tr = LockTrace()
-    tr.times = list(np.arange(len(tids), dtype=float))
     tr.tids = list(tids)
     tr.sockets = list(sockets)
     tr.n_contenders = list(contenders)
     tr.n_contenders_prev_socket = list(prev_socket_counts)
-    tr.hold_times = holds if holds is not None else [0.1] * len(tids)
     return tr
 
 

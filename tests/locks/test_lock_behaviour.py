@@ -25,7 +25,8 @@ def test_mutex_monopolization_emerges(sim, machine, costs):
     """A releasing thread re-CASes in ns while futex wakes take us, so
     consecutive reacquisition dominates (paper 4.3)."""
     trace = LockTrace()
-    lock = PthreadMutexModel(sim, costs, trace=trace)
+    lock = PthreadMutexModel(sim, costs)
+    lock.on_grant.append(trace.record_grant)
     threads = make_threads(machine, 4)
     hammer(sim, lock, threads, n_iters=200, hold_time=150 * NS, gap_time=30 * NS)
     assert trace.consecutive_reacquire_fraction() > 0.5
@@ -34,7 +35,8 @@ def test_mutex_monopolization_emerges(sim, machine, costs):
 def test_ticket_no_monopolization(sim, machine, costs):
     """Under the same workload the ticket lock round-robins."""
     trace = LockTrace()
-    lock = TicketLock(sim, costs, trace=trace)
+    lock = TicketLock(sim, costs)
+    lock.on_grant.append(trace.record_grant)
     threads = make_threads(machine, 4)
     hammer(sim, lock, threads, n_iters=200, hold_time=150 * NS, gap_time=30 * NS)
     assert trace.consecutive_reacquire_fraction() < 0.1
@@ -57,7 +59,8 @@ def test_mutex_long_monopoly_episodes_ticket_short(machine, costs):
     def run(kind):
         s = Simulator(seed=7)
         trace = LockTrace()
-        lock = make_lock(kind, s, costs, trace=trace)
+        lock = make_lock(kind, s, costs)
+        lock.on_grant.append(trace.record_grant)
         threads = make_threads(machine, 4)
 
         def worker(ctx):
@@ -166,7 +169,8 @@ def test_priority_high_preempts_queued_low(sim, machine, costs):
 def test_priority_fair_within_class(sim, machine, costs):
     """All-high workload degenerates to ticket-like fairness (paper 6.2.1)."""
     trace = LockTrace()
-    lock = PriorityTicketLock(sim, costs, trace=trace)
+    lock = PriorityTicketLock(sim, costs)
+    lock.on_grant.append(trace.record_grant)
     threads = make_threads(machine, 4)
     hammer(sim, lock, threads, n_iters=100, hold_time=150 * NS,
            gap_time=30 * NS, priority=Priority.HIGH)
@@ -177,7 +181,8 @@ def test_priority_fair_within_class(sim, machine, costs):
 
 def test_priority_low_only_also_fair(sim, machine, costs):
     trace = LockTrace()
-    lock = PriorityTicketLock(sim, costs, trace=trace)
+    lock = PriorityTicketLock(sim, costs)
+    lock.on_grant.append(trace.record_grant)
     threads = make_threads(machine, 4)
     hammer(sim, lock, threads, n_iters=50, hold_time=150 * NS,
            gap_time=30 * NS, priority=Priority.LOW)
@@ -239,7 +244,8 @@ def test_socket_aware_can_starve_remote_socket(sim, machine, costs):
 
     s = Simulator(seed=3)
     trace = LockTrace()
-    lock = SocketAwareLock(s, costs, trace=trace)
+    lock = SocketAwareLock(s, costs)
+    lock.on_grant.append(trace.record_grant)
     threads = make_threads(machine, 4, binding=scatter_binding)
     # threads 0,2 on socket0; 1,3 on socket1
     got = {t.tid: 0 for t in threads}

@@ -56,7 +56,9 @@ def test_release_unheld_raises(kind, sim, machine, costs):
         lock.release(t)
 
 
-@pytest.mark.parametrize("kind", ["mutex", "tas", "null"])
+@pytest.mark.parametrize(
+    "kind", [k for k, c in LOCK_CLASSES.items() if c.strict_owner]
+)
 def test_strict_owner_release_by_other_raises(kind, sim, machine, costs):
     lock = make_lock(kind, sim, costs)
     a, b = make_threads(machine, 2)
@@ -97,16 +99,16 @@ def test_double_acquire_by_same_thread_raises(kind, sim, machine, costs):
 @pytest.mark.parametrize("kind", CONTENDED)
 def test_trace_records_every_acquisition(kind, sim, machine, costs):
     trace = LockTrace()
-    lock = make_lock(kind, sim, costs, trace=trace)
+    lock = make_lock(kind, sim, costs)
+    lock.on_grant.append(trace.record_grant)
     threads = make_threads(machine, 4)
     hammer(sim, lock, threads, n_iters=5, hold_time=100 * NS, gap_time=100 * NS)
     assert len(trace) == 20
-    assert len(trace.hold_times) == 20
     arrays = trace.as_arrays()
-    assert (arrays["hold_times"] > 0).all()
+    # The winner is still counted among the contenders at grant time.
     assert (arrays["n_contenders"] >= 1).all()
-    # Time stamps are non-decreasing.
-    assert (arrays["times"][1:] >= arrays["times"][:-1]).all()
+    assert (arrays["n_contenders"] <= 4).all()
+    assert arrays["n_contenders_prev_socket"][0] == 0
     assert sum(trace.acquisitions_by_tid().values()) == 20
 
 

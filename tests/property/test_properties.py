@@ -159,55 +159,3 @@ def test_request_dangling_flag_consistency(unexpected_hit, posted_first):
     r.mark_freed(2.0)
     assert not r.dangling
     assert r.freed
-
-
-# ----------------------------------------------------------------------
-# Cohort lock: bounded bypass (no unbounded socket capture)
-# ----------------------------------------------------------------------
-@given(
-    max_handover=st.integers(1, 12),
-    seed=st.integers(0, 1000),
-)
-@settings(max_examples=30, deadline=None)
-def test_cohort_remote_waiter_bypassed_at_most_max_handover(max_handover, seed):
-    """A waiter on the other socket is granted after at most
-    ``max_handover`` same-socket grants once it is queued."""
-    from repro.locks.cohort import CohortTicketLock
-
-    sim = Simulator(seed=seed)
-    machine = nehalem_node()
-    lock = CohortTicketLock(sim, CostModel(), max_handover=max_handover)
-    grants = []
-
-    # Three local hammering threads on socket 0, one remote on socket 1.
-    def local(ctx):
-        while sim.now < 40e-6:
-            yield from lock.acquire(ctx)
-            grants.append(ctx.socket)
-            yield sim.timeout(150 * NS)
-            extra = lock.release(ctx)
-            yield sim.timeout(10 * NS + extra)
-
-    def remote(ctx):
-        while sim.now < 40e-6:
-            yield from lock.acquire(ctx)
-            grants.append(ctx.socket)
-            yield sim.timeout(150 * NS)
-            extra = lock.release(ctx)
-            yield sim.timeout(10 * NS + extra)
-
-    for i in range(3):
-        sim.process(local(ThreadCtx(machine.core(i), name=f"l{i}")))
-    sim.process(remote(ThreadCtx(machine.core(4), name="r")))
-    sim.run()
-    # No run of socket-0 grants between socket-1 grants may exceed the
-    # bound by more than a small scheduling slack (the remote thread is
-    # un-queued briefly after each of its grants).
-    longest = run = 0
-    for s_ in grants:
-        if s_ == 0:
-            run += 1
-            longest = max(longest, run)
-        else:
-            run = 0
-    assert longest <= max_handover + 3

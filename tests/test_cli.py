@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.locks import LOCK_CLASSES
 
 
 def test_list(capsys):
@@ -22,7 +23,7 @@ def test_spec_prints_table1(capsys):
 def test_locks_lists_all_methods(capsys):
     assert main(["locks"]) == 0
     out = capsys.readouterr().out
-    for name in ("mutex", "ticket", "priority", "mcs", "cohort", "clh"):
+    for name in LOCK_CLASSES:
         assert name in out
 
 
