@@ -50,7 +50,6 @@ def _account(sim: Simulator) -> dict:
         "skipped": sim.skipped,
         "compactions": sim.compactions,
         "savings": round(sim.skipped / would_have, 4) if would_have else 0.0,
-        "queue": sim.queue.stats(),
     }
 
 

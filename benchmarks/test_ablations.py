@@ -190,7 +190,7 @@ def test_ablation_event_driven_wakeup(benchmark):
         for ed in (False, True):
             cl = Cluster(ClusterConfig(n_nodes=4, threads_per_rank=8,
                                        lock="mutex", seed=2, costs=cm,
-                                       event_driven_wait=ed))
+                                       completion="event" if ed else "poll"))
             res = run_n2n(cl, N2NConfig(msg_size=1024, window=8,
                                         n_windows=2, style="rounds"))
             s = cl.runtimes[0].stats

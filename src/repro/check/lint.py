@@ -650,7 +650,7 @@ def _check_queue_encapsulation(mod: _Module) -> Iterator[Finding]:
                     mod.path, node.lineno, node.col_offset,
                     "queue-encapsulation",
                     f"direct access to queue internal {attr!r}; use the "
-                    "EventQueue interface (push/pop/stats) or the "
+                    "EventQueue interface (push/pop) or the "
                     "Simulator accounting properties",
                 )
             elif attr in _QUEUE_PRIVATE_SIM:

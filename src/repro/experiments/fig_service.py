@@ -45,10 +45,12 @@ from .base import ExperimentResult
 __all__ = ["run_fig_service"]
 
 #: (label, lock, cs policy, completion) -- the remedy axes under load.
+#: The "poll" variants run the wait loops event-driven (``"event"``:
+#: poll while there is work, park when there is none).
 VARIANTS = (
-    ("mutex/global/poll", "mutex", "global", "poll"),
-    ("priority/global/poll", "priority", "global", "poll"),
-    ("priority/per-vci:2/poll", "priority", "per-vci:2", "poll"),
+    ("mutex/global/poll", "mutex", "global", "event"),
+    ("priority/global/poll", "priority", "global", "event"),
+    ("priority/per-vci:2/poll", "priority", "per-vci:2", "event"),
     ("priority/global/cont", "priority", "global", "continuation"),
 )
 #: Checks are asserted against this variant (reported for all).

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..sim.counters import Counters
 from .plan import FaultPlan
 
 __all__ = ["PacketFate", "FaultStats", "FaultInjector"]
@@ -35,7 +36,7 @@ class PacketFate:
         self.duplicate = duplicate
 
 
-class FaultStats:
+class FaultStats(Counters):
     """Counters of injected faults (what the fabric *did* to the run)."""
 
     __slots__ = (
@@ -43,16 +44,9 @@ class FaultStats:
         "stalled_sends", "blocked_sends",
     )
 
-    def __init__(self):
-        for f in self.__slots__:
-            setattr(self, f, 0)
-
     @property
     def total_drops(self) -> int:
         return self.drops + self.outage_drops + self.crash_drops
-
-    def as_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__slots__}
 
 
 class FaultInjector:

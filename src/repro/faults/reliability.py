@@ -48,6 +48,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Set, Tuple
 
 from ..network.message import Packet, PacketKind
+from ..sim.counters import Counters
 
 __all__ = ["ReliabilityConfig", "ReliabilityStats", "ReliabilityLayer"]
 
@@ -99,20 +100,13 @@ class ReliabilityConfig:
         return replace(self, **kw)
 
 
-class ReliabilityStats:
+class ReliabilityStats(Counters):
     """Per-rank reliability counters."""
 
     __slots__ = (
         "tracked", "retransmits", "acks_sent", "acks_received",
         "dup_data", "dup_acks", "giveups",
     )
-
-    def __init__(self):
-        for f in self.__slots__:
-            setattr(self, f, 0)
-
-    def as_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__slots__}
 
 
 class _Unacked:

@@ -13,7 +13,7 @@ implementations:
 """
 
 from .base import LockError, NullLock, Priority, SimLock
-from .domain import ArbitrationDomain, DomainStats, aggregate_domain_stats
+from .domain import ArbitrationDomain, DomainStats
 from .mutex import PthreadMutexModel
 from .priority import PriorityTicketLock, SocketAwareLock
 from .stats import LockTrace
@@ -53,5 +53,4 @@ __all__ = [
     "make_lock",
     "ArbitrationDomain",
     "DomainStats",
-    "aggregate_domain_stats",
 ]

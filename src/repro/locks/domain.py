@@ -15,49 +15,31 @@ Invariants that were runtime-global become per-domain here:
 * the single-slot open critical-section span (``_cs_span``) -- safe
   because each *domain's* CS is mutually exclusive, while different
   domains are concurrently held by different threads;
-* dangling-request accounting -- each domain counts the completed-but-
-  not-freed requests it owns, and the runtime's total is the sum
-  (checked by ``tests/mpi/test_domains.py``).
+* request accounting -- each domain counts the requests it completes
+  and frees, and the completed-but-not-freed (dangling) balance it owns;
+  the rank-level counters are sums over the domains.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
+from ..sim.counters import Counters
 from .base import SimLock
 
-__all__ = ["ArbitrationDomain", "DomainStats", "aggregate_domain_stats"]
+__all__ = ["ArbitrationDomain", "DomainStats"]
 
 
-class DomainStats:
-    """Per-domain counters (the per-domain slice of ``RuntimeStats``)."""
+class DomainStats(Counters):
+    """Per-domain MPI counters.  This is their only home: the rank-level
+    ``RuntimeStats`` reads the domain-scoped counters as sums over the
+    rank's domains."""
 
     __slots__ = (
         "cs_entries_main", "cs_entries_progress", "progress_polls",
         "empty_polls", "packets_handled", "posted_hits", "unexpected_hits",
         "completed", "freed", "dangling", "peak_dangling",
     )
-
-    def __init__(self):
-        for f in self.__slots__:
-            setattr(self, f, 0)
-
-    def as_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__slots__}
-
-
-def aggregate_domain_stats(domains: "List[ArbitrationDomain]") -> dict:
-    """Sum counters across domains (``peak_dangling`` takes the max:
-    peaks in different domains need not coincide in time, so the sum
-    would overstate the rank-wide peak)."""
-    out = {f: 0 for f in DomainStats.__slots__}
-    for d in domains:
-        for f in DomainStats.__slots__:
-            if f == "peak_dangling":
-                out[f] = max(out[f], d.stats.peak_dangling)
-            else:
-                out[f] += getattr(d.stats, f)
-    return out
 
 
 class ArbitrationDomain:

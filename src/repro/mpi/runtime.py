@@ -42,13 +42,17 @@ from ..machine.costs import CostModel
 from ..machine.threads import ThreadCtx
 from ..network.fabric import Fabric, RankNic
 from ..network.message import Packet, PacketKind
+from ..sim.counters import Counters
 from ..sim.sync import CompletionLatch, Signal
 from .envelope import ANY_SOURCE, ANY_TAG, Envelope
 from .queues import UnexpectedMsg
 from .request import Protocol, ReqKind, Request, RequestError
 from .vci import GLOBAL_POLICY, CsGranularity, CsPolicy
 
-__all__ = ["MpiRuntime", "MpiThread", "RuntimeStats"]
+__all__ = ["COMPLETION_MODES", "MpiRuntime", "MpiThread", "RuntimeStats"]
+
+#: How a blocked call waits; see ``MpiRuntime.completion``.
+COMPLETION_MODES = ("poll", "event", "continuation")
 
 
 class _EagerInfo:
@@ -75,16 +79,31 @@ class _RndvInfo:
         self.vci = vci
 
 
-class RuntimeStats:
+#: Counters kept per arbitration domain (``DomainStats``) and read at
+#: rank level as sums over the rank's domains.
+_DOMAIN_SCOPED = (
+    "completed", "freed", "posted_hits", "unexpected_hits",
+    "progress_polls", "empty_polls", "packets_handled",
+    "cs_entries_main", "cs_entries_progress",
+)
+
+
+class RuntimeStats(Counters):
     """Rank-level counters exposed for the analysis modules.
 
-    These aggregate over all arbitration domains; the per-domain
-    breakdown lives in each domain's
+    Only the rank-scoped counters are stored here; the domain-scoped
+    ones live in each domain's
     :class:`~repro.locks.domain.DomainStats`
-    (``MpiRuntime.domain_stats()``).
+    (``MpiRuntime.domain_stats()``) and read here as their sums.
     """
 
     __slots__ = (
+        "sends_issued", "recvs_issued", "continuations_fired",
+        "wasted_acquisitions_avoided", "cancelled", "stale_rndv_data",
+        "_domains",
+    )
+    #: Every counter, in ``as_dict`` order.
+    FIELDS = (
         "sends_issued", "recvs_issued", "completed", "freed",
         "posted_hits", "unexpected_hits", "progress_polls",
         "empty_polls", "packets_handled", "cs_entries_main",
@@ -92,12 +111,20 @@ class RuntimeStats:
         "wasted_acquisitions_avoided", "cancelled", "stale_rndv_data",
     )
 
-    def __init__(self):
-        for f in self.__slots__:
-            setattr(self, f, 0)
+    def __init__(self, domains: Sequence[ArbitrationDomain]):
+        super().__init__()
+        self._domains = domains
+
+    def __getattr__(self, name: str) -> int:
+        # Reached only for names not stored here.
+        if name not in _DOMAIN_SCOPED:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        return sum(getattr(d.stats, name) for d in self._domains)
 
     def as_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__slots__}
+        return {f: getattr(self, f) for f in self.FIELDS}
 
 
 class MpiRuntime:
@@ -113,7 +140,6 @@ class MpiRuntime:
         costs: CostModel,
         eager_threshold: int = 16384,
         inline_threshold: int = 128,
-        event_driven_wait: bool = False,
         completion: str = "poll",
         cs_granularity: "str | CsGranularity" = "global",
         policy: Optional[CsPolicy] = None,
@@ -162,29 +188,27 @@ class MpiRuntime:
         self.dangling_count = 0
         #: High-water mark of ``dangling_count`` (starvation severity).
         self.peak_dangling = 0
-        self.stats = RuntimeStats()
+        self.stats = RuntimeStats(self.domains)
         self._rng = sim.rng.stream(f"runtime:{rank}")
-        #: Paper 9 future work: park blocked waiters on an
-        #: arrival/completion signal instead of spinning in the progress
-        #: loop.  Simplified vs true *selective* wake-up: any activity
-        #: wakes every parked waiter of this rank.
-        self.event_driven_wait = bool(event_driven_wait)
-        #: Blocking-call strategy: "poll" reproduces the paper's CS_YIELD
-        #: loops bit-for-bit; "continuation" parks waiters on the
-        #: completion/arrival signal and only enters the critical section
-        #: when there is something to progress (the remedy the
-        #: continuations figure measures).
-        if completion not in ("poll", "continuation"):
+        #: How a blocked call waits (one of :data:`COMPLETION_MODES`):
+        #: "poll" reproduces the paper's CS_YIELD loops bit-for-bit;
+        #: "event" (paper 9 future work) runs the same loops but parks
+        #: between polls when nothing is queued to progress;
+        #: "continuation" parks waiters on the completion/arrival signal
+        #: and only enters the critical section when there is something
+        #: to progress (the remedy the continuations figure measures).
+        #: Parked waiters wake on any activity of this rank, a
+        #: simplification of true *selective* wake-up.
+        if completion not in COMPLETION_MODES:
             raise ValueError(
-                f"completion must be 'poll' or 'continuation', got "
-                f"{completion!r}"
+                f"completion must be one of {', '.join(COMPLETION_MODES)}; "
+                f"got {completion!r}"
             )
         self.completion = completion
         self._activity = Signal(sim, name=f"activity@{rank}")
-        #: Both event-driven polling and continuation mode park waiters
-        #: on the activity signal, so both need the NIC arrival hook and
-        #: the completion-path fire.
-        self._wake_waiters = self.event_driven_wait or completion == "continuation"
+        #: Both parking modes need the NIC arrival hook and the
+        #: completion-path fire.
+        self._wake_waiters = completion != "poll"
         if self._wake_waiters:
             nic.on_packet = lambda pkt: self._activity.fire()
         #: Collective sequence numbers, per communicator id.
@@ -219,27 +243,8 @@ class MpiRuntime:
         self.degrade_hooks: List = []
 
     # ==================================================================
-    # Single-domain compatibility views
+    # Counters
     # ==================================================================
-    @property
-    def lock(self) -> SimLock:
-        """Domain 0's lock: *the* lock for the global policy."""
-        return self.domains[0].lock
-
-    @property
-    def posted_q(self):
-        """Domain 0's posted queue (the whole rank under ``global``)."""
-        return self.domains[0].posted_q
-
-    @property
-    def unexp_q(self):
-        """Domain 0's unexpected queue (the whole rank under ``global``)."""
-        return self.domains[0].unexp_q
-
-    @property
-    def n_domains(self) -> int:
-        return len(self.domains)
-
     def domain_stats(self) -> List[dict]:
         """Per-domain counter snapshots, index-aligned with ``domains``."""
         return [d.stats.as_dict() for d in self.domains]
@@ -351,10 +356,8 @@ class MpiRuntime:
     # ==================================================================
     def _cs_acquire(self, dom: ArbitrationDomain, ctx: ThreadCtx, priority: Priority):
         if priority == Priority.HIGH:
-            self.stats.cs_entries_main += 1
             dom.stats.cs_entries_main += 1
         else:
-            self.stats.cs_entries_progress += 1
             dom.stats.cs_entries_progress += 1
         yield from dom.lock.acquire(ctx, priority=priority)
         obs = self.sim.obs
@@ -421,7 +424,6 @@ class MpiRuntime:
         self.dangling_count += 1
         if self.dangling_count > self.peak_dangling:
             self.peak_dangling = self.dangling_count
-        self.stats.completed += 1
         obs = self.sim.obs
         if obs is not None and obs.wants("mpi"):
             obs.counter("mpi", "dangling", self.dangling_count, rank=self.rank)
@@ -522,7 +524,6 @@ class MpiRuntime:
         req.mark_freed(self.sim.now)
         self.domains[req.vci].note_free()
         self.dangling_count -= 1
-        self.stats.freed += 1
         self.requests.pop(req.req_id, None)
         if len(req.vcis) > 1:
             # A spanning wildcard receive was posted to every domain;
@@ -915,7 +916,7 @@ class MpiRuntime:
             # yields have scheduling noise, and a deterministic gap
             # produces artificial lockstep alternation between threads.
             yield from self._cs_release(doms[cur], ctx)
-            if self.event_driven_wait and not any(d.recv_q for d in doms):
+            if self.completion == "event" and not any(d.recv_q for d in doms):
                 # Nothing to progress: park until a packet arrives or a
                 # request completes (no sim time passes between this
                 # check and the wait, so no wake-up can be missed).
@@ -1130,13 +1131,11 @@ class MpiRuntime:
     def _progress_poll(self, dom: ArbitrationDomain, ctx: ThreadCtx):
         """Drain the domain's NIC receive queue; returns True if any
         packet was handled."""
-        self.stats.progress_polls += 1
         dom.stats.progress_polls += 1
         if self.sim.obs is not None:
             self._san(ctx, f"recv_q.d{dom.index}", guards=(dom.lock.name,))
         q = dom.recv_q
         if not q:
-            self.stats.empty_polls += 1
             dom.stats.empty_polls += 1
             obs = self.sim.obs
             if obs is not None and obs.wants("mpi"):
@@ -1159,7 +1158,6 @@ class MpiRuntime:
         return True
 
     def _handle_packet(self, dom: ArbitrationDomain, ctx: ThreadCtx, pkt: Packet):
-        self.stats.packets_handled += 1
         dom.stats.packets_handled += 1
         obs = self.sim.obs
         if obs is not None and obs.wants("mpi"):
@@ -1181,7 +1179,6 @@ class MpiRuntime:
             if req is not None:
                 req.claimed = True
                 req.vci = dom.index
-                self.stats.posted_hits += 1
                 dom.stats.posted_hits += 1
                 yield from self._charge_copy(
                     dom, ctx, self.costs.copy_time(info.nbytes), Priority.LOW
@@ -1189,7 +1186,6 @@ class MpiRuntime:
                 req.data = info.data
                 self._complete(req)
             else:
-                self.stats.unexpected_hits += 1
                 dom.stats.unexpected_hits += 1
                 if self.sim.obs is not None:
                     self._san(ctx, f"unexp_q.d{dom.index}",
@@ -1210,12 +1206,10 @@ class MpiRuntime:
             if req is not None:
                 req.claimed = True
                 req.vci = dom.index
-                self.stats.posted_hits += 1
                 dom.stats.posted_hits += 1
                 req.mark_pending()
                 self._send_cts(pkt.src_rank, info.req_id, req, info.vci)
             else:
-                self.stats.unexpected_hits += 1
                 dom.stats.unexpected_hits += 1
                 if self.sim.obs is not None:
                     self._san(ctx, f"unexp_q.d{dom.index}",
@@ -1302,7 +1296,7 @@ class MpiRuntime:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<MpiRuntime rank={self.rank} policy={self.policy} "
-            f"lock={type(self.lock).__name__} "
+            f"lock={type(self.domains[0].lock).__name__} "
             f"posted={sum(len(d.posted_q) for d in self.domains)} "
             f"unexp={sum(len(d.unexp_q) for d in self.domains)} "
             f"dangling={self.dangling_count}>"

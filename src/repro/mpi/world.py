@@ -41,7 +41,7 @@ from ..obs import Instrument
 from ..overrides import cluster_overrides, get_override
 from ..sim import Simulator
 from .collectives import Communicator
-from .runtime import MpiRuntime, MpiThread
+from .runtime import COMPLETION_MODES, MpiRuntime, MpiThread
 from .vci import CsGranularity, CsPolicy, parse_cs_policy
 
 __all__ = ["ClusterConfig", "Cluster"]
@@ -70,13 +70,13 @@ class ClusterConfig:
     eager_threshold: int = 16384
     inline_threshold: int = 128
     async_progress: bool = False
-    #: Paper 9 future work: blocked waiters park on arrival/completion
-    #: events instead of spinning in the progress loop.
-    event_driven_wait: bool = False
-    #: Blocking-call completion strategy: "poll" (the paper's CS_YIELD
-    #: loops, bit-identity baseline) or "continuation" (waiters park on
-    #: the completion signal and only enter the critical section when
-    #: there are packets to progress -- see DESIGN.md section 11).
+    #: How a blocked call waits: "poll" (the paper's CS_YIELD loops,
+    #: bit-identity baseline), "event" (paper 9 future work: the same
+    #: loops park on arrival/completion events when nothing is queued,
+    #: as does the async progress thread) or "continuation" (waiters
+    #: park on the completion signal and only enter the critical
+    #: section when there are packets to progress -- DESIGN.md
+    #: section 11).
     completion: str = "poll"
     #: Critical-section granularity: "global" (paper baseline) or
     #: "brief" (payload copies outside the CS, paper Fig. 1 / 7).
@@ -118,10 +118,10 @@ class ClusterConfig:
                 f"unknown binding {self.binding!r}; valid bindings: "
                 f"{', '.join(sorted(BINDINGS))}"
             )
-        if self.completion not in ("poll", "continuation"):
+        if self.completion not in COMPLETION_MODES:
             raise ValueError(
                 f"unknown completion mode {self.completion!r}; valid "
-                f"modes: continuation, poll"
+                f"modes: {', '.join(COMPLETION_MODES)}"
             )
         self.cs_granularity = CsGranularity.parse(self.cs_granularity)
         self.cs = parse_cs_policy(self.cs, n_ranks=self.n_ranks)
@@ -218,7 +218,6 @@ class Cluster:
                 self.sim, rank, self.fabric, nic, locks[0], config.costs,
                 eager_threshold=config.eager_threshold,
                 inline_threshold=config.inline_threshold,
-                event_driven_wait=config.event_driven_wait,
                 completion=config.completion,
                 cs_granularity=config.cs_granularity,
                 policy=policy,
@@ -295,7 +294,7 @@ class Cluster:
         def loop():
             while not self._shutdown:
                 yield from rt.progress_poke(ctx)
-                if cfg.event_driven_wait and not rt.nic.has_packets():
+                if cfg.completion == "event" and not rt.nic.has_packets():
                     yield rt._activity.wait(ctx)
                     yield self.sim.timeout(rt.costs.event_wakeup)
                 else:

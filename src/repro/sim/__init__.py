@@ -14,7 +14,7 @@ Public surface::
 """
 
 from .engine import SimulationError, Simulator
-from .equeue import EventQueue, HeapQueue
+from .equeue import EventQueue
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Interrupt, Process
 from .rng import RngStreams, stable_hash
@@ -24,7 +24,6 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "EventQueue",
-    "HeapQueue",
     "Event",
     "Timeout",
     "AnyOf",

@@ -27,7 +27,7 @@ from sys import getrefcount as _getrefcount
 from typing import Any, Callable, Generator, Optional
 
 from .equeue import _COMPACT_MIN_DEAD as _COMPACT_MIN_DEAD  # re-export, tests
-from .equeue import EventQueue, HeapQueue
+from .equeue import EventQueue
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
 from .rng import RngStreams
@@ -63,7 +63,7 @@ class Simulator:
 
     def __init__(self, *, seed: int = 0):
         self.now: float = 0.0
-        self.queue: EventQueue = HeapQueue()
+        self.queue = EventQueue()
         #: Bound ``queue.push``, cached: scheduling happens several times
         #: per dispatched event, and the queue never changes after
         #: construction.

@@ -9,7 +9,9 @@ The queue is a binary heap with lazy deletion: a cancelled entry stays
 where it is, is skipped (and accounted) when it reaches the head, and an
 in-place compaction sweeps the heap once more than half of it is dead.
 :class:`EventQueue` hides those books behind ``push`` / ``pop`` /
-``note_cancelled`` and the read-only counters.
+``note_cancelled`` and the read-only counters, which the simulator
+exposes as ``queued_events`` / ``dead_events`` / ``heap_size`` /
+``skipped`` / ``compactions``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
-__all__ = ["EventQueue", "HeapQueue"]
+__all__ = ["EventQueue"]
 
 #: Lazy-deletion compaction gate: never sweep a queue carrying fewer
 #: dead entries than this, however high the dead fraction (tiny queues
@@ -26,14 +28,9 @@ _COMPACT_MIN_DEAD = 64
 
 
 class EventQueue:
-    """Priority queue of ``(time, seq, event)`` entries.
+    """Lazy-deletion binary heap of ``(time, seq, event)`` entries."""
 
-    Subclasses implement ``push`` / ``pop`` / ``note_cancelled`` and the
-    ``size`` property; the lazy-deletion books (``live``, ``dead``,
-    ``skipped``, ``compactions``) live here.
-    """
-
-    __slots__ = ("skipped", "compactions", "_dead")
+    __slots__ = ("skipped", "compactions", "_dead", "_heap")
 
     def __init__(self) -> None:
         #: Cancelled entries removed without dispatch (pop-time skips
@@ -43,12 +40,13 @@ class EventQueue:
         self.compactions = 0
         #: Cancelled entries not yet removed (lazy deletion).
         self._dead = 0
+        self._heap: list = []
 
     # -- accounting ----------------------------------------------------
     @property
     def size(self) -> int:
         """Entries currently stored, live plus dead."""
-        raise NotImplementedError
+        return len(self._heap)
 
     @property
     def dead(self) -> int:
@@ -58,51 +56,17 @@ class EventQueue:
     @property
     def live(self) -> int:
         """Non-cancelled entries still queued."""
-        return self.size - self._dead
-
-    def stats(self) -> dict:
-        """Queue counters for obs summaries and benches."""
-        return {
-            "live": self.live,
-            "dead": self._dead,
-            "size": self.size,
-            "skipped": self.skipped,
-            "compactions": self.compactions,
-        }
+        return len(self._heap) - self._dead
 
     # -- operations ----------------------------------------------------
     def push(self, when: float, seq: int, event) -> None:
-        raise NotImplementedError
+        heappush(self._heap, (when, seq, event))
 
     def pop(self, horizon: Optional[float] = None):
         """Remove and return the minimal live ``(time, seq, event)``
         entry, or ``None`` when no live entry remains (or the next one
         is past ``horizon``).  Cancelled entries crossed on the way are
         consumed and accounted as skipped."""
-        raise NotImplementedError
-
-    def note_cancelled(self) -> None:
-        """Account one freshly-cancelled entry; may trigger a sweep."""
-        raise NotImplementedError
-
-
-class HeapQueue(EventQueue):
-    """The lazy-deletion binary heap."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: list = []
-
-    @property
-    def size(self) -> int:
-        return len(self._heap)
-
-    def push(self, when: float, seq: int, event) -> None:
-        heappush(self._heap, (when, seq, event))
-
-    def pop(self, horizon: Optional[float] = None):
         heap = self._heap
         while heap:
             head = heap[0]
@@ -117,6 +81,7 @@ class HeapQueue(EventQueue):
         return None
 
     def note_cancelled(self) -> None:
+        """Account one freshly-cancelled entry; may trigger a sweep."""
         self._dead = dead = self._dead + 1
         heap = self._heap
         if dead >= _COMPACT_MIN_DEAD and dead * 2 > len(heap):

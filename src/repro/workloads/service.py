@@ -243,15 +243,12 @@ def arrival_times(
 # Wire payloads
 # ======================================================================
 class _SvcRequest:
-    __slots__ = ("req_id", "client", "t_sent", "deadline_s", "service_s",
+    __slots__ = ("req_id", "client", "deadline_s", "service_s",
                  "reply_bytes")
 
-    def __init__(self, req_id, client, t_sent, deadline_s, service_s,
-                 reply_bytes):
+    def __init__(self, req_id, client, deadline_s, service_s, reply_bytes):
         self.req_id = req_id
         self.client = client
-        #: Issue time of this attempt (CoDel sojourn base).
-        self.t_sent = t_sent
         #: Absolute deadline (propagated; None = no deadline).
         self.deadline_s = deadline_s
         self.service_s = service_s
@@ -451,8 +448,8 @@ def _issue(st: _ClientState, th: MpiThread, rec: _Rec):
     now = th.sim.now
     attempt = len(rec.attempts)
     msg = _SvcRequest(
-        rec.req_id, st.rank, now, rec.deadline_s,
-        cfg.service_ns * 1e-9, cfg.reply_bytes,
+        rec.req_id, st.rank, rec.deadline_s, cfg.service_ns * 1e-9,
+        cfg.reply_bytes,
     )
     sreq = yield from th.isend(st.server, cfg.req_bytes, tag=_REQ_TAG, data=msg)
     rreq = yield from th.irecv(
@@ -691,8 +688,7 @@ def _server_worker(sst: _ServerState, th: MpiThread, cfg: ServiceConfig):
             sst.degrade_shed += 1
             sst.trace.append(f"{msg.req_id}:d")
         elif not sst.admission.admit(
-            now, deadline_s=msg.deadline_s, t_sent=msg.t_sent,
-            depth=depth, service_s=msg.service_s,
+            now, deadline_s=msg.deadline_s, service_s=msg.service_s,
         ):
             shed = True
             sst.trace.append(f"{msg.req_id}:s")
@@ -891,11 +887,11 @@ def service_cluster(
 ) -> Cluster:
     """The standard service setup: clients on node 0, servers on node 1.
 
-    Defaults to ``event_driven_wait=True`` -- idle server threads park
-    on arrivals instead of spinning the CS_YIELD poll loop, the sane
-    regime for a request/reply service (override to study the paper's
-    pure polling under load)."""
-    overrides.setdefault("event_driven_wait", True)
+    Defaults to ``completion="event"`` -- idle server threads park on
+    arrivals instead of spinning the CS_YIELD poll loop, the sane
+    regime for a request/reply service (pass ``completion="poll"`` to
+    study the paper's pure polling under load)."""
+    overrides.setdefault("completion", "event")
     return Cluster(
         ClusterConfig(
             n_nodes=2,

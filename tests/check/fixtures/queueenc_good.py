@@ -5,8 +5,7 @@ def schedule_and_inspect(sim):
     ev = sim.timeout(5e-9, name="probe")
     handle = sim.call_after(1e-9, print, "tick")
     handle.cancel()
-    stats = sim.queue.stats()
-    return ev, stats, sim.queued_events, sim.dead_events, sim.heap_size
+    return ev, sim.skipped, sim.queued_events, sim.dead_events, sim.heap_size
 
 
 def drain(queue):

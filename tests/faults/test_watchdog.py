@@ -180,7 +180,7 @@ def test_parked_waiters_under_total_loss_are_a_stall_not_idle():
     out-of-events crash (or a silent success)."""
     cl = Cluster(ClusterConfig(
         n_nodes=2, ranks_per_node=1, threads_per_rank=1, lock="mutex",
-        seed=9, event_driven_wait=True,
+        seed=9, completion="event",
         faults=FaultPlan(drop=1.0, watchdog_interval_ns=20_000.0,
                          watchdog_grace=3),
     ))

@@ -83,8 +83,9 @@ def test_mixed_workload_all_invariants(lock):
     # --- runtime invariants ---------------------------------------------
     for rt in cl.runtimes:
         assert rt.dangling_count == 0, f"rank {rt.rank} leaked requests"
-        assert len(rt.posted_q) == 0
-        assert len(rt.unexp_q) == 0
+        for dom in rt.domains:
+            assert len(dom.posted_q) == 0
+            assert len(dom.unexp_q) == 0
         assert rt.stats.completed == rt.stats.freed
         assert len(rt._pending_sends) == 0
     for w in wins.values():

@@ -439,8 +439,11 @@ def test_testall_with_duplicates_frees_once():
 # Continuation-mode blocking calls
 # ======================================================================
 def test_continuation_mode_rejects_bad_value():
-    with pytest.raises(ValueError, match="completion"):
-        make_cluster(completion="callback")
+    with pytest.raises(ValueError, match="completion") as exc:
+        ClusterConfig(completion="bogus")
+    # The error names every valid mode.
+    for mode in ("poll", "event", "continuation"):
+        assert mode in str(exc.value)
 
 
 @pytest.mark.parametrize("mode", ["poll", "continuation"])

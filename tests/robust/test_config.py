@@ -40,5 +40,5 @@ def test_negative_deadline_rejected():
 def test_malformed_admission_spec_fails_at_construction():
     with pytest.raises(ValueError, match="valid policies"):
         RobustConfig(admission="fifo")
-    with pytest.raises(ValueError):
-        RobustConfig(admission="queue-cap:0")
+    with pytest.raises(ValueError, match="margin"):
+        RobustConfig(admission="deadline:0.5")

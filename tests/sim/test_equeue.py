@@ -6,7 +6,7 @@ primitives' handling of cancelled waiters.
 
 import pytest
 
-from repro.sim import HeapQueue, SimulationError, Simulator
+from repro.sim import EventQueue, SimulationError, Simulator
 from repro.sim.sync import Mailbox, SimSemaphore
 
 
@@ -24,9 +24,8 @@ def test_simulator_ctor_is_kw_only():
 def test_stats_shape():
     sim = Simulator()
     sim.timeout(1e-9)
-    assert sim.queue.stats() == {
-        "live": 1, "dead": 0, "size": 1, "skipped": 0, "compactions": 0,
-    }
+    assert (sim.queued_events, sim.dead_events, sim.heap_size,
+            sim.skipped, sim.compactions) == (1, 0, 1, 0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +79,7 @@ def test_far_future_event_fires_last():
 
 
 def test_pop_honours_horizon_and_skips_dead():
-    q = HeapQueue()
+    q = EventQueue()
     dead, a, b = _Ev(), _Ev(), _Ev()
     dead._cancelled = True
     q.push(1e-9, 0, dead)

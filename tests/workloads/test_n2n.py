@@ -45,8 +45,9 @@ def test_all_requests_drain():
     cl, res = run(ranks=4, threads=2)
     for rt in cl.runtimes:
         assert rt.dangling_count == 0
-        assert len(rt.posted_q) == 0
-        assert len(rt.unexp_q) == 0
+        for dom in rt.domains:
+            assert len(dom.posted_q) == 0
+            assert len(dom.unexp_q) == 0
 
 
 def test_mutex_slower_than_ticket():
