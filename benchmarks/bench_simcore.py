@@ -1,6 +1,6 @@
 """Sim-core benchmark: what first-class cancellation buys the hot path.
 
-Three scenarios, each reporting wall-clock and the engine's own dispatch
+Four scenarios, each reporting wall-clock and the engine's own dispatch
 accounting (``Simulator.dispatched`` / ``.skipped`` / ``.compactions``):
 
 * ``retransmit-1pct`` -- engine-level model of the reliability layer's
@@ -12,6 +12,8 @@ accounting (``Simulator.dispatched`` / ``.skipped`` / ``.compactions``):
   The acceptance gate lives here: savings must be >= 20%.
 * ``hot-loop`` -- chained timeouts across a few processes: raw dispatch
   throughput (events/sec) of the inlined run loop, no cancellation.
+* ``hot-loop-delay`` -- the same chain, each process yielding bare float
+  delays instead of Timeouts: the sleep path with no event object.
 * ``chaos-macro`` -- the fig_chaos configuration end to end (2 ranks x
   4 threads, 1% internode drop, ACK/retransmit on): the same accounting
   on a real cluster run, where dead retransmit timers ride alongside all
@@ -95,8 +97,9 @@ def bench_retransmit(n_msgs: int, drop: float = 0.01, seed: int = 1) -> dict:
     }
 
 
-def bench_hotloop(n_events: int, seed: int = 0) -> dict:
-    """Raw dispatch throughput: chained timeouts, zero cancellations."""
+def bench_hotloop(n_events: int, bare: bool = False, seed: int = 0) -> dict:
+    """Raw dispatch throughput: chained sleeps, zero cancellations.  Each
+    sleep is a Timeout, or a bare delay when ``bare``."""
     sim = Simulator(seed=seed)
     n_procs = 4
     per_proc = n_events // n_procs
@@ -104,7 +107,7 @@ def bench_hotloop(n_events: int, seed: int = 0) -> dict:
     def looper():
         dt = 10e-9
         for _ in range(per_proc):
-            yield sim.timeout(dt)
+            yield dt if bare else sim.timeout(dt)
 
     for _ in range(n_procs):
         sim.process(looper())
@@ -112,7 +115,7 @@ def bench_hotloop(n_events: int, seed: int = 0) -> dict:
     sim.run()
     wall = time.perf_counter() - t0  # simlint: disable=wall-clock
     return {
-        "mode": "hot-loop",
+        "mode": "hot-loop-delay" if bare else "hot-loop",
         "n_procs": n_procs,
         "wall_s": round(wall, 4),
         "events_per_sec": round(sim.dispatched / wall),
@@ -158,6 +161,7 @@ def main(argv=None) -> int:
     rows = [
         bench_retransmit(n_retransmit),
         bench_hotloop(n_hotloop),
+        bench_hotloop(n_hotloop, bare=True),
         bench_chaos(args.quick),
     ]
     total_wall = time.perf_counter() - t0  # simlint: disable=wall-clock

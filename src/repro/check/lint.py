@@ -14,10 +14,11 @@ them as AST rules (stdlib :mod:`ast`, no new dependencies):
     (``time.time``, ``datetime.now``, ...) inside the model makes
     results machine-dependent.
 ``yield-discipline``
-    Sim processes are generators that must only yield
-    :class:`~repro.sim.events.Event` values.  Yielding a bare literal is
-    always a bug -- the engine would raise at runtime, but only on the
-    path that executes it.
+    Sim processes are generators that may only yield an Event, a
+    Process, or a computed non-negative float delay.  Yielding a bare
+    literal is always a bug -- a non-float raises at runtime, but only on
+    the path that executes it, and a literal delay hides a cost the cost
+    model should name.
 ``lock-pairing``
     Every critical-section acquire needs a matching release on all
     paths: a function that acquires and never releases, or returns
@@ -281,7 +282,7 @@ def _is_literal_value(node: ast.AST) -> bool:
 
 @_rule("yield-discipline")
 def _check_yield_discipline(mod: _Module) -> Iterator[Finding]:
-    """sim processes must not yield bare literal values"""
+    """yield an Event, a Process or a computed non-negative float delay"""
     for fn in _functions(mod.tree):
         for node in _own_nodes(fn):
             if not isinstance(node, ast.Yield):
@@ -295,7 +296,8 @@ def _check_yield_discipline(mod: _Module) -> Iterator[Finding]:
                 yield Finding(
                     mod.path, node.lineno, node.col_offset, "yield-discipline",
                     f"process {fn.name!r} yields a bare literal; sim "
-                    "processes may only yield Event/Process values",
+                    "processes may only yield an Event, a Process, or a "
+                    "computed non-negative float delay",
                 )
 
 

@@ -381,15 +381,15 @@ class MpiRuntime:
             dom._cs_span = None
         cost = dom.lock.release(ctx)
         if cost > 0.0:
-            yield self.sim.timeout(cost)
+            yield cost
 
-    def _cs_time(self, dom: ArbitrationDomain, seconds: float):
-        """A timeout for in-CS work, inflated by contention *on this
-        domain's lock*: waiting threads' retries/spinning bounce the
+    def _cs_time(self, dom: ArbitrationDomain, seconds: float) -> float:
+        """The delay to yield for in-CS work, inflated by contention *on
+        this domain's lock*: waiting threads' retries/spinning bounce the
         domain's shared cache lines and slow the critical path (David et
         al., SOSP'13).  Sharding pays off exactly here: fewer waiters
         per domain, smaller factor."""
-        return self.sim.timeout(seconds * dom.lock.contention_factor())
+        return seconds * dom.lock.contention_factor()
 
     def _charge_copy(
         self, dom: ArbitrationDomain, ctx: ThreadCtx, seconds: float,
@@ -406,7 +406,7 @@ class MpiRuntime:
             and seconds * 1e9 >= self.costs.brief_copy_min_ns
         ):
             yield from self._cs_release(dom, ctx)
-            yield self.sim.timeout(seconds)
+            yield seconds
             yield from self._cs_acquire(dom, ctx, priority)
         else:
             yield self._cs_time(dom, seconds)
@@ -605,7 +605,7 @@ class MpiRuntime:
         """Nonblocking send.  Returns the Request."""
         env = Envelope(source=self.rank, tag=tag, comm=comm)
         dom = self._send_domain(dest, tag, comm)
-        yield self.sim.timeout(self.costs.request_alloc * (0.5 + self._rng.random()))
+        yield self.costs.request_alloc * (0.5 + self._rng.random())
         yield from self._cs_acquire(dom, ctx, Priority.HIGH)
         yield self._cs_time(dom, self.costs.cs_main)
         if nbytes <= self.eager_threshold:
@@ -682,7 +682,7 @@ class MpiRuntime:
         """
         env = Envelope(source=source, tag=tag, comm=comm)
         route = self.policy.route_recv(env)
-        yield self.sim.timeout(self.costs.request_alloc * (0.5 + self._rng.random()))
+        yield self.costs.request_alloc * (0.5 + self._rng.random())
         if route is not None:
             dom = self.domains[self._route(route)]
             yield from self._cs_acquire(dom, ctx, Priority.HIGH)
@@ -923,10 +923,9 @@ class MpiRuntime:
                 self.parked_waiters += 1
                 yield self._activity.wait(ctx)
                 self.parked_waiters -= 1
-                yield self.sim.timeout(self.costs.event_wakeup)
+                yield self.costs.event_wakeup
             else:
-                gap = self.costs.progress_gap * (0.5 + self._rng.random())
-                yield self.sim.timeout(gap)
+                yield self.costs.progress_gap * (0.5 + self._rng.random())
             cur = (cur + 1) % len(doms)
             yield from self._cs_acquire(doms[cur], ctx, Priority.LOW)
             # Another thread's progress may have completed the rest
@@ -1014,7 +1013,7 @@ class MpiRuntime:
                 self.parked_waiters += 1
                 yield self._activity.wait(ctx)
                 self.parked_waiters -= 1
-                yield self.sim.timeout(self.costs.event_wakeup)
+                yield self.costs.event_wakeup
                 continue
             yield from self._cs_acquire(dom, ctx, Priority.LOW)
             yield from self._progress_poll(dom, ctx)
@@ -1089,9 +1088,7 @@ class MpiRuntime:
             found = yield from self.iprobe(ctx, source=source, tag=tag, comm=comm)
             if found is not None:
                 return found
-            yield self.sim.timeout(
-                self.costs.progress_gap * (0.5 + self._rng.random())
-            )
+            yield self.costs.progress_gap * (0.5 + self._rng.random())
 
     def sendrecv(self, ctx, dest, source, nbytes, tag=0, comm=0, data=None,
                  recv_nbytes=None, recv_tag=None):

@@ -11,6 +11,11 @@ Public surface::
 
     proc = sim.process(worker())
     sim.run(until=proc)
+
+A process may yield an Event, a Process, or a computed non-negative float
+delay.  ``yield cost`` sleeps like ``yield sim.timeout(cost)`` with the
+same ``(time, seq)`` order, but creates no event; use it wherever the
+Timeout would not be kept.
 """
 
 from .engine import SimulationError, Simulator

@@ -10,7 +10,9 @@ cost model works at nanosecond scale (1e-9).
 Events dispatch in ``(time, seq)`` order: same-timestamp events run in
 creation order.  The run loop pops one event at a time, and dispatched
 :class:`Timeout` objects are recycled through a small free pool when
-provably unreferenced.
+provably unreferenced.  A process that yields a bare ``float`` delay
+queues its own wake handle instead of a Timeout (:meth:`Simulator._sleep`);
+the run loop resumes the process directly when that entry comes up.
 
 Cancelled events (:meth:`~repro.sim.events.Event.cancel`) are deleted
 *lazily*: the queue entry stays where it is, is skipped at pop time
@@ -29,7 +31,7 @@ from typing import Any, Callable, Generator, Optional
 from .equeue import _COMPACT_MIN_DEAD as _COMPACT_MIN_DEAD  # re-export, tests
 from .equeue import EventQueue
 from .events import AllOf, AnyOf, Event, Timeout
-from .process import Process
+from .process import Process, _Wake
 from .rng import RngStreams
 
 __all__ = ["Simulator", "SimulationError", "EventQueue"]
@@ -69,7 +71,6 @@ class Simulator:
         #: construction.
         self._push = self.queue.push
         self._seq = count()
-        self._active_process: Optional[Process] = None
         self._crashed: list = []
         self.rng = RngStreams(seed)
         #: Observability bus (:class:`repro.obs.Instrument`) or None.
@@ -140,6 +141,15 @@ class Simulator:
     def _schedule(self, event: Event, delay: float) -> None:
         self._push(self.now + delay, next(self._seq), event)
 
+    def _sleep(self, process: Process, delay: float) -> None:
+        """Queue ``process`` to resume ``delay`` seconds from now.
+
+        The seq is drawn here, at the yield, which is exactly where a
+        ``yield sim.timeout(delay)`` would have drawn it, so a bare delay
+        keeps the ``(time, seq)`` order of the Timeout it replaces."""
+        process._wake_seq = seq = next(self._seq)
+        self._push(self.now + delay, seq, process._wake)
+
     def _note_cancelled(self) -> None:
         self.queue.note_cancelled()
 
@@ -161,13 +171,18 @@ class Simulator:
         entry = self.queue.pop()
         if entry is None:
             raise IndexError("step on an empty event queue")
-        when, _seq, event = entry
+        when, seq, event = entry
         self.now = when
         self.dispatched += 1
-        obs = self.obs
-        if obs is not None and event.name and obs.wants("sim"):
-            obs.instant("sim", "dispatch", args={"event": event.name})
-        event._process()
+        if event.__class__ is _Wake:
+            process = event.process
+            if process._wake_seq == seq:
+                process._resume(event)
+        else:
+            obs = self.obs
+            if obs is not None and event.name and obs.wants("sim"):
+                obs.instant("sim", "dispatch", args={"event": event.name})
+            event._process()
         if self._crashed:
             self._raise_crash()
 
@@ -207,6 +222,7 @@ class Simulator:
         pool = self._pool
         pool_append = pool.append
         getrc = _getrefcount
+        wake = _Wake
 
         while stop is None or stop.callbacks is not None:
             entry = pop(horizon)
@@ -222,6 +238,15 @@ class Simulator:
             self.now = entry[0]
             event = entry[2]
             self.dispatched += 1
+            if event.__class__ is wake:
+                # A bare-delay sleep ending: resume the process unless a
+                # later sleep (after an interrupt) superseded this one.
+                process = event.process
+                if process._wake_seq == entry[1]:
+                    process._resume(event)
+                    if self._crashed:
+                        self._raise_crash()
+                continue
             obs = self.obs
             if obs is not None and event.name and obs.wants("sim"):
                 obs.instant("sim", "dispatch", args={"event": event.name})

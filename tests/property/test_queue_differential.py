@@ -21,7 +21,7 @@ against the queue's rules themselves:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 
 NS = 1e-9
 
@@ -149,3 +149,66 @@ def test_pooling_is_schedule_neutral(plan, seed):
     sim_warm, trace_warm = run(True)
     assert trace_cold == trace_warm
     assert sim_warm.pool_hits > 0
+
+
+# ----------------------------------------------------------------------
+# Bare delays against Timeouts.
+# ----------------------------------------------------------------------
+#: One process: its sleeps in ns (ties and zero delays included).
+_sleeps = st.lists(st.integers(0, 50), min_size=1, max_size=8)
+#: One disturbance: (at ns, target process, interrupt? else cancel).
+_poke = st.tuples(st.integers(0, 300), st.integers(0, 7), st.booleans())
+
+
+def _run_sleepers(plan, pokes, bare):
+    """Run ``plan``'s processes, every sleep spelled ``yield d`` when
+    ``bare`` else ``yield sim.timeout(d)``; interrupts and cancels come
+    from timers at the ``pokes`` times.  Returns the simulator and the
+    ``(now, process, step)`` trace."""
+    sim = Simulator(seed=0)
+    trace = []
+
+    def sleeper(i, sleeps):
+        for k, d in enumerate(sleeps):
+            try:
+                yield d * NS if bare else sim.timeout(d * NS)
+            except Interrupt:
+                trace.append((sim.now, i, k, "interrupt"))
+            trace.append((sim.now, i, k))
+
+    procs = [sim.process(sleeper(i, s), name=f"p{i}")
+             for i, s in enumerate(plan)]
+
+    def poke(i, interrupt):
+        p = procs[i % len(procs)]
+        if not interrupt:
+            p.cancel()
+        elif p.is_alive and not p.cancelled:
+            # A cancelled process never triggers, so it looks alive
+            # even after its generator is done; leave it alone.
+            p.interrupt(i)
+
+    for at, i, interrupt in pokes:
+        sim.call_after(at * NS, poke, i, interrupt)
+    sim.run()
+    return sim, trace
+
+
+@given(
+    plan=st.lists(_sleeps, min_size=1, max_size=6),
+    pokes=st.lists(_poke, max_size=6),
+)
+@settings(max_examples=80, deadline=None)
+def test_bare_delays_dispatch_like_timeouts(plan, pokes):
+    """A bare delay is the Timeout it replaces, minus the object: the
+    same resumes at the same times in the same order, the same number
+    of dispatched queue entries, and balanced books, under interrupts
+    (stale sleeps) and cancels of sleeping processes."""
+    sim_t, trace_t = _run_sleepers(plan, pokes, bare=False)
+    sim_b, trace_b = _run_sleepers(plan, pokes, bare=True)
+    assert trace_b == trace_t
+    assert sim_b.dispatched == sim_t.dispatched
+    assert sim_b.now == sim_t.now
+    for sim in (sim_t, sim_b):
+        q = sim.queue
+        assert q.dead == 0 and q.live + q.dead == q.size == 0

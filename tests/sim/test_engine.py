@@ -1,8 +1,11 @@
 """Unit tests for the discrete-event simulation core."""
 
+import math
+
 import pytest
 
-from repro.sim import Event, SimulationError, Simulator
+from repro.obs import Recording
+from repro.sim import Event, Interrupt, SimulationError, Simulator, Timeout
 
 
 def test_clock_starts_at_zero():
@@ -338,3 +341,167 @@ def test_call_after_returns_cancellable_handle():
     assert handle.cancel()
     sim.run()
     assert fired == []
+
+
+# ----------------------------------------------------------------------
+# Bare delays: a process may yield a computed non-negative float.
+# ----------------------------------------------------------------------
+S = 1.0  # one simulated second
+NS = 1e-9
+def _sleeper_run(spell):
+    """One named process sleeping 1 s, 0 s and 2 s, spelled either as
+    Timeouts or as bare delays; returns what an observer can see."""
+    sim = Simulator()
+    rec = Recording(categories=("sim",))
+    rec.bus.bind_sim(sim)
+    seen = []
+
+    def wait(d):
+        return sim.timeout(d) if spell == "timeout" else d
+
+    def sleeper():
+        for d in (1.0, 0.0, 2.0):
+            seen.append((yield wait(d)))
+            seen.append(sim.now)
+        return "done"
+
+    p = sim.process(sleeper(), name="sleeper")
+    assert sim.run(until=p) == "done"
+    sim.run()
+    events = [(e.name, e.ts, sorted((e.args or {}).items()))
+              for e in rec.events]
+    return seen, events, sim.dispatched, sim.queue.size
+
+
+def test_bare_delay_is_observably_a_timeout():
+    # Same resumes, same values, same dispatch count, and the same
+    # single sim/wake instant per wake with no extra dispatch instant.
+    assert _sleeper_run("bare") == _sleeper_run("timeout")
+    seen, events, _, _ = _sleeper_run("bare")
+    assert seen == [None, 1.0, None, 1.0, None, 3.0]
+    # init, four resumes (three wakes and the start), completion.
+    assert [name for name, _, _ in events] == (
+        ["dispatch"] + ["wake"] * 4 + ["dispatch"]
+    )
+
+
+def test_bare_delay_allocates_no_timeout(monkeypatch):
+    made = []
+    init = Timeout.__init__
+    monkeypatch.setattr(
+        Timeout, "__init__", lambda self, *a, **k: made.append(init(self, *a, **k))
+    )
+    sim = Simulator()
+
+    def sleeper():
+        for _ in range(3):
+            yield NS
+
+    sim.process(sleeper())
+    sim.run()
+    assert made == [] and sim.pool_hits == 0
+    assert sim.dispatched == 5  # init, three wakes, completion
+
+
+def test_bare_delay_dispatches_through_step():
+    sim = Simulator()
+    seen = []
+
+    def sleeper():
+        yield 2 * S
+        seen.append(sim.now)
+
+    sim.process(sleeper())
+    sim.step()  # init: the process starts and sleeps
+    assert seen == [] and sim.queued_events == 1
+    sim.step()  # the wake
+    assert seen == [2.0] and sim.queued_events == 1  # its completion
+    sim.step()
+    with pytest.raises(IndexError):
+        sim.step()
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, -math.inf])
+def test_negative_or_nan_delay_raises_at_the_yield(bad):
+    sim = Simulator()
+    caught = []
+
+    def proc():
+        try:
+            yield bad
+        except ValueError as e:
+            caught.append((sim.now, str(e)))
+        yield S
+
+    sim.process(proc())
+    sim.run()
+    assert len(caught) == 1
+    assert caught[0][0] == 0.0 and "negative or NaN" in caught[0][1]
+    assert sim.now == 1.0 and sim.queue.size == 0
+
+
+@pytest.mark.parametrize("bad", [1, 0, True, "1e-9"])
+def test_non_float_delay_raises_type_error(bad):
+    sim = Simulator()
+    caught = []
+
+    def proc():
+        try:
+            yield bad
+        except TypeError as e:
+            caught.append(str(e))
+
+    sim.process(proc())
+    sim.run()
+    assert len(caught) == 1 and "only Event" in caught[0]
+    assert sim.now == 0.0
+
+
+def test_interrupt_during_bare_delay_is_delivered_once():
+    """The interrupted sleep's queue entry goes stale: it never resumes
+    the process, not even once the process sleeps again."""
+    sim = Simulator()
+    log = []
+
+    def victim():
+        try:
+            yield 10 * S
+            log.append(("woke", sim.now))
+        except Interrupt as e:
+            log.append(("interrupt", sim.now, e.cause))
+        yield 20 * S  # still asleep when the stale t=10 entry comes up
+        log.append(("woke", sim.now))
+        yield 5 * S
+        log.append(("woke", sim.now))
+
+    v = sim.process(victim())
+    sim.call_after(1.0, v.interrupt, "why")
+    sim.run()
+    assert log == [("interrupt", 1.0, "why"), ("woke", 21.0), ("woke", 26.0)]
+    q = sim.queue
+    assert q.live + q.dead == q.size == 0
+
+
+@pytest.mark.parametrize("spell", ["timeout", "bare"])
+def test_cancel_on_a_sleeping_process_keeps_the_books(spell):
+    """Cancelling a process drops its waiters but not its generator
+    (see Event.cancel): a sleeping process still wakes, whichever way
+    it spelled its sleep, and no queue entry is counted dead."""
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        yield sim.timeout(5.0) if spell == "timeout" else 5.0
+        log.append(sim.now)
+
+    p = sim.process(sleeper())
+    waiter_ran = []
+    p.callbacks.append(waiter_ran.append)
+    sim.run(until=1.0)
+    assert p.cancel()
+    assert sim.dead_events == 0
+    sim.run()
+    assert log == [5.0] and waiter_ran == []
+    q = sim.queue
+    assert q.dead == 0 and q.live + q.dead == q.size == 0
+    assert sim.skipped == 0 and sim.dispatched == 2
