@@ -361,8 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("name")
     tr.add_argument("--out", default="trace.json",
                     help="Chrome trace output path (default: trace.json)")
-    tr.add_argument("--paper", action="store_true",
-                    help="paper-scale parameters (slow)")
+    tr_mode = tr.add_mutually_exclusive_group()
+    tr_mode.add_argument("--quick", action="store_true",
+                         help="reduced sweep sizes (the default)")
+    tr_mode.add_argument("--paper", action="store_true",
+                         help="paper-scale parameters (slow)")
     tr.add_argument("--seed", type=int, default=0,
                     help="master RNG seed (default 0, matching "
                          "run_experiment's default)")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import re
 from itertools import count
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..machine.costs import NS, CostModel
 from ..machine.threads import ThreadCtx
@@ -43,6 +43,16 @@ class LockError(RuntimeError):
     """Protocol violation (double release, release by non-holder, ...)."""
 
 
+class _ObsNames(NamedTuple):
+    """A lock's ``lock``-category event names, built once per lock."""
+
+    wait: str
+    hold: str
+    grant: str
+    handoff: str
+    contenders: str
+
+
 class SimLock:
     """Base class: contention bookkeeping and grant hooks."""
 
@@ -52,6 +62,9 @@ class SimLock:
     #: marker points at it (needed for the priority lock's B ticket,
     #: whose ownership belongs to a priority *class*, not a thread).
     allow_owner_reentry = False
+    #: Event names for the obs bus, built on the first traced emission
+    #: (untraced runs never build them).
+    _obs_names: Optional[_ObsNames] = None
 
     def __init__(self, sim, costs: CostModel, name: str = ""):
         self.sim = sim
@@ -179,6 +192,14 @@ class SimLock:
     def _handoff_cost(self, from_core: Core, to_core: Core) -> float:
         return self.costs.handoff(to_core.proximity(from_core))
 
+    def _build_obs_names(self) -> _ObsNames:
+        n = self.name
+        names = self._obs_names = _ObsNames(
+            f"{n}.wait", f"{n}.hold", f"{n}.grant", f"{n}.handoff",
+            f"{n}.contenders",
+        )
+        return names
+
     def _enter(self, ctx: ThreadCtx) -> None:
         if ctx.tid in self._contenders:
             raise LockError(f"{ctx!r} already contending for {self.name}")
@@ -195,12 +216,11 @@ class SimLock:
         self._contenders[ctx.tid] = ctx
         obs = self.sim.obs
         if obs is not None and obs.wants("lock"):
-            obs.span_begin("lock", f"{self.name}.wait",
-                           rank=ctx.rank if ctx.rank is not None else -1,
-                           tid=ctx.tid)
-            obs.counter("lock", f"{self.name}.contenders",
-                        len(self._contenders),
-                        rank=ctx.rank if ctx.rank is not None else -1)
+            names = self._obs_names or self._build_obs_names()
+            rank = ctx.rank if ctx.rank is not None else -1
+            obs.span_begin("lock", names.wait, rank, ctx.tid)
+            obs.counter("lock", names.contenders, len(self._contenders),
+                        rank)
 
     def _grant(self, ctx: ThreadCtx) -> None:
         if self.owner is not None:
@@ -213,18 +233,18 @@ class SimLock:
             cb(self, ctx)
         obs = self.sim.obs
         if obs is not None and obs.wants("lock"):
+            names = self._obs_names or self._build_obs_names()
             rank = ctx.rank if ctx.rank is not None else -1
-            obs.span_end("lock", f"{self.name}.wait", rank=rank, tid=ctx.tid)
-            obs.span_begin("lock", f"{self.name}.hold", rank=rank, tid=ctx.tid)
-            obs.instant(
-                "lock", f"{self.name}.grant", rank=rank, tid=ctx.tid,
-                args={"socket": ctx.socket},
-            )
+            tid = ctx.tid
+            obs.span_end("lock", names.wait, rank, tid)
+            obs.span_begin("lock", names.hold, rank, tid)
+            obs.instant("lock", names.grant, rank, tid,
+                        {"socket": ctx.socket})
             prev = self._prev_owner_core
             if prev is not None:
                 obs.instant(
-                    "lock", f"{self.name}.handoff", rank=rank, tid=ctx.tid,
-                    args={"distance": ctx.core.proximity(prev).name},
+                    "lock", names.handoff, rank, tid,
+                    {"distance": ctx.core.proximity(prev).name},
                 )
         self._prev_owner_core = ctx.core
         del self._contenders[ctx.tid]
@@ -274,9 +294,9 @@ class SimLock:
             # be released by a different thread; the span lives on the
             # lane that opened it).
             own = self.owner
-            obs.span_end("lock", f"{self.name}.hold",
-                         rank=own.rank if own.rank is not None else -1,
-                         tid=own.tid)
+            names = self._obs_names or self._build_obs_names()
+            obs.span_end("lock", names.hold,
+                         own.rank if own.rank is not None else -1, own.tid)
         # Drop from the *owner's* held set, not the releaser's:
         # strict_owner=False locks (the priority lock's B ticket) may be
         # released on another thread's behalf.

@@ -21,6 +21,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .events import EventKind, ObsEvent
@@ -28,6 +29,18 @@ from .events import EventKind, ObsEvent
 __all__ = ["Instrument"]
 
 Subscriber = Callable[[ObsEvent], None]
+
+# Module-level aliases: reading an Enum member off its class goes
+# through a descriptor, several times the cost of a global load.
+_SPAN_BEGIN = EventKind.SPAN_BEGIN
+_SPAN_END = EventKind.SPAN_END
+_ASYNC_BEGIN = EventKind.ASYNC_BEGIN
+_ASYNC_END = EventKind.ASYNC_END
+_COUNTER = EventKind.COUNTER
+_INSTANT = EventKind.INSTANT
+#: Builds an :class:`ObsEvent` from its nine fields in one C-level
+#: call, skipping the Python ``__new__`` a NamedTuple generates.
+_new_event = partial(tuple.__new__, ObsEvent)
 
 
 class Instrument:
@@ -45,9 +58,10 @@ class Instrument:
         self._clock: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
         #: ``(subscriber, frozenset-of-categories-or-None)`` pairs.
         self._subs: List[Tuple[Subscriber, Optional[frozenset]]] = []
-        #: Union of subscribed categories; ``None`` = at least one
-        #: subscriber wants everything.
-        self._wanted: Optional[frozenset] = frozenset()
+        #: Category -> the subscribers that want it, in subscription
+        #: order.  Filled on a category's first lookup (the bus is open
+        #: to any category) and cleared when the subscriber set changes.
+        self._routes: Dict[str, Tuple[Subscriber, ...]] = {}
         #: Events emitted per category (cheap built-in telemetry,
         #: surfaced in ``ExperimentResult.data["obs"]``).
         self.emitted: Dict[str, int] = {}
@@ -75,28 +89,27 @@ class Instrument:
         Returns ``fn`` so it can be used as a decorator."""
         cats = None if categories is None else frozenset(categories)
         self._subs.append((fn, cats))
-        if cats is None:
-            self._wanted = None
-        elif self._wanted is not None:
-            self._wanted = self._wanted | cats
+        self._routes.clear()
         return fn
 
     def unsubscribe(self, fn: Subscriber) -> None:
         # Equality, not identity: bound methods (``log.append``) are
         # re-created on every attribute access and only compare equal.
         self._subs = [(f, c) for f, c in self._subs if f != fn]
-        wanted: Optional[frozenset] = frozenset()
-        for _f, c in self._subs:
-            if c is None:
-                wanted = None
-                break
-            wanted = wanted | c  # type: ignore[operator]
-        self._wanted = wanted
+        self._routes.clear()
 
     @property
     def enabled(self) -> bool:
         """True when at least one subscriber is attached."""
         return bool(self._subs)
+
+    def _route(self, category: str) -> Tuple[Subscriber, ...]:
+        """Route ``category`` (a cache miss of :attr:`_routes`)."""
+        route = tuple(
+            fn for fn, cats in self._subs if cats is None or category in cats
+        )
+        self._routes[category] = route
+        return route
 
     def wants(self, category: str) -> bool:
         """True when some subscriber will see ``category`` events.
@@ -105,9 +118,10 @@ class Instrument:
         dicts) for categories nobody listens to -- the high-frequency
         ``sim`` category stays near-free even with a bus attached.
         """
-        if not self._subs:
-            return False
-        return self._wanted is None or category in self._wanted
+        try:
+            return bool(self._routes[category])
+        except KeyError:
+            return bool(self._route(category))
 
     # ------------------------------------------------------------------
     # Emission API (the whole of it)
@@ -116,9 +130,12 @@ class Instrument:
         """Dispatch a fully-formed event to interested subscribers."""
         cat = event.category
         self.emitted[cat] = self.emitted.get(cat, 0) + 1
-        for fn, cats in self._subs:
-            if cats is None or cat in cats:
-                fn(event)
+        try:
+            route = self._routes[cat]
+        except KeyError:
+            route = self._route(cat)
+        for fn in route:
+            fn(event)
 
     def _emit(
         self,
@@ -127,60 +144,59 @@ class Instrument:
         name: str,
         rank: int,
         tid: int,
-        value: Optional[float] = None,
-        span_id: Optional[int] = None,
-        args: Optional[dict] = None,
+        value: Optional[float],
+        span_id: Optional[int],
+        args: Optional[dict],
     ) -> None:
-        if not self.wants(category):
+        try:
+            route = self._routes[category]
+        except KeyError:
+            route = self._route(category)
+        if not route:
             return
-        self.emit(
-            ObsEvent(
-                kind=kind,
-                category=category,
-                name=name,
-                ts=self._clock(),
-                rank=rank,
-                tid=tid,
-                value=value,
-                span_id=span_id,
-                args=args,
-            )
-        )
+        event = _new_event((kind, category, name, self._clock(), rank, tid,
+                            value, span_id, args))
+        try:
+            self.emitted[category] += 1
+        except KeyError:
+            self.emitted[category] = 1
+        for fn in route:
+            fn(event)
 
     def span_begin(self, category: str, name: str, rank: int = -1, tid: int = -1,
                    **args: Any) -> None:
         """Open a duration on the ``(rank, tid)`` lane.  Must be closed
         by a :meth:`span_end` with the same key; spans nest LIFO per lane."""
-        self._emit(EventKind.SPAN_BEGIN, category, name, rank, tid,
-                   args=args or None)
+        self._emit(_SPAN_BEGIN, category, name, rank, tid, None, None,
+                   args or None)
 
     def span_end(self, category: str, name: str, rank: int = -1, tid: int = -1,
                  **args: Any) -> None:
-        self._emit(EventKind.SPAN_END, category, name, rank, tid,
-                   args=args or None)
+        self._emit(_SPAN_END, category, name, rank, tid, None, None,
+                   args or None)
 
     def async_begin(self, category: str, name: str, span_id: int,
                     rank: int = -1, **args: Any) -> None:
         """Open a duration not tied to a thread (e.g. a packet in
         flight), matched to its end by ``span_id``."""
-        self._emit(EventKind.ASYNC_BEGIN, category, name, rank, -1,
-                   span_id=span_id, args=args or None)
+        self._emit(_ASYNC_BEGIN, category, name, rank, -1, None, span_id,
+                   args or None)
 
     def async_end(self, category: str, name: str, span_id: int,
                   rank: int = -1, **args: Any) -> None:
-        self._emit(EventKind.ASYNC_END, category, name, rank, -1,
-                   span_id=span_id, args=args or None)
+        self._emit(_ASYNC_END, category, name, rank, -1, None, span_id,
+                   args or None)
 
     def counter(self, category: str, name: str, value: float,
                 rank: int = -1, tid: int = -1) -> None:
         """Sample a numeric series at the current simulated time."""
-        self._emit(EventKind.COUNTER, category, name, rank, tid,
-                   value=float(value))
+        self._emit(_COUNTER, category, name, rank, tid, float(value), None,
+                   None)
 
     def instant(self, category: str, name: str, rank: int = -1, tid: int = -1,
                 args: Optional[dict] = None) -> None:
         """A point event (hand-off, empty poll, marker)."""
-        self._emit(EventKind.INSTANT, category, name, rank, tid, args=args)
+        self._emit(_INSTANT, category, name, rank, tid, None, None, args)
 
     @contextmanager
     def span(self, category: str, name: str, rank: int = -1, tid: int = -1,

@@ -20,8 +20,7 @@ a direct mapping.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, NamedTuple, Optional
 
 __all__ = ["EventKind", "ObsEvent", "CATEGORIES"]
 
@@ -41,14 +40,16 @@ class EventKind(enum.Enum):
     INSTANT = "i"
 
 
-@dataclass(frozen=True, slots=True)
-class ObsEvent:
+class ObsEvent(NamedTuple):
     """One event on the bus.
 
     ``ts`` is the *simulated* clock in seconds; ``rank``/``tid`` locate
     the event on a timeline lane (``-1`` = not thread/rank attributed).
     ``value`` is only meaningful for counters, ``span_id`` only for
     async spans.
+
+    A tuple, so the bus builds it in one C-level call and consumers
+    can unpack it; like any tuple it is immutable and compares by value.
     """
 
     kind: EventKind
@@ -59,7 +60,7 @@ class ObsEvent:
     tid: int = -1
     value: Optional[float] = None
     span_id: Optional[int] = None
-    args: Optional[Mapping[str, Any]] = field(default=None)
+    args: Optional[Mapping[str, Any]] = None
 
     @property
     def key(self) -> tuple:

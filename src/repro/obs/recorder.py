@@ -47,7 +47,9 @@ class EventLog:
     max_events:
         Soft cap: events beyond it are counted in :attr:`dropped`
         instead of stored, bounding memory on runaway traces.  The cap
-        is reported by the exporters, never silently.
+        is reported by the exporters, never silently.  Fixed at
+        construction: an uncapped log subscribes its list's own
+        ``append``, so recording an event runs no Python code.
     """
 
     def __init__(
@@ -60,8 +62,9 @@ class EventLog:
         self.dropped = 0
         self.max_events = max_events
         self._bus = bus
+        self._sink = self.append if max_events is not None else self.events.append
         if bus is not None:
-            bus.subscribe(self.append, categories=categories)
+            bus.subscribe(self._sink, categories=categories)
 
     def append(self, event: ObsEvent) -> None:
         if self.max_events is not None and len(self.events) >= self.max_events:
@@ -71,7 +74,7 @@ class EventLog:
 
     def detach(self) -> None:
         if self._bus is not None:
-            self._bus.unsubscribe(self.append)
+            self._bus.unsubscribe(self._sink)
             self._bus = None
 
     def __len__(self) -> int:

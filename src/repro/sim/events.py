@@ -102,9 +102,9 @@ class Event:
         time (or swept by compaction) and never dispatched.  Any process
         still waiting on a cancelled event is parked forever, so cancel
         an event only when every waiter is being torn down with it (the
-        intended idiom for service-loop timers).  Cancelling a
-        :class:`~repro.sim.process.Process` does *not* stop its
-        generator -- use :meth:`Process.interrupt` for that.
+        intended idiom for service-loop timers).  A
+        :class:`~repro.sim.process.Process` cannot be cancelled (it
+        raises ``TypeError``): stop one with :meth:`Process.interrupt`.
         """
         if self._cancelled or self._triggered or self.callbacks is None:
             return False

@@ -31,9 +31,8 @@ class _Wake:
     One per process, made once.  The queue and the dispatch loop read it
     like a succeeded, unnamed event (``_cancelled``, ``name``, ``_ok``,
     ``_value``), and ``Process._resume`` takes it as the event woken on.
-    It is not the process itself: cancelling a process must neither
-    drop its pending wake from the queue nor stop its generator, and
-    the process's own completion entry must stay an ordinary event.
+    It is not the process itself: the process's own completion entry
+    must stay an ordinary event.
     """
 
     __slots__ = ("process",)
@@ -85,6 +84,15 @@ class Process(Event):
     @property
     def is_alive(self) -> bool:
         return not self.triggered
+
+    def cancel(self) -> bool:
+        """Not supported: a process is stopped with :meth:`interrupt`.
+
+        Cancelling it as an event would drop its waiters but not its
+        generator, and leave it never triggering: alive forever."""
+        raise TypeError(
+            f"cannot cancel process {self.name!r}: use interrupt() to stop it"
+        )
 
     def interrupt(self, cause=None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""

@@ -156,14 +156,14 @@ def test_pooling_is_schedule_neutral(plan, seed):
 # ----------------------------------------------------------------------
 #: One process: its sleeps in ns (ties and zero delays included).
 _sleeps = st.lists(st.integers(0, 50), min_size=1, max_size=8)
-#: One disturbance: (at ns, target process, interrupt? else cancel).
-_poke = st.tuples(st.integers(0, 300), st.integers(0, 7), st.booleans())
+#: One disturbance: (at ns, target process).
+_poke = st.tuples(st.integers(0, 300), st.integers(0, 7))
 
 
 def _run_sleepers(plan, pokes, bare):
     """Run ``plan``'s processes, every sleep spelled ``yield d`` when
-    ``bare`` else ``yield sim.timeout(d)``; interrupts and cancels come
-    from timers at the ``pokes`` times.  Returns the simulator and the
+    ``bare`` else ``yield sim.timeout(d)``; interrupts come from timers
+    at the ``pokes`` times.  Returns the simulator and the
     ``(now, process, step)`` trace."""
     sim = Simulator(seed=0)
     trace = []
@@ -179,17 +179,13 @@ def _run_sleepers(plan, pokes, bare):
     procs = [sim.process(sleeper(i, s), name=f"p{i}")
              for i, s in enumerate(plan)]
 
-    def poke(i, interrupt):
+    def poke(i):
         p = procs[i % len(procs)]
-        if not interrupt:
-            p.cancel()
-        elif p.is_alive and not p.cancelled:
-            # A cancelled process never triggers, so it looks alive
-            # even after its generator is done; leave it alone.
+        if p.is_alive:
             p.interrupt(i)
 
-    for at, i, interrupt in pokes:
-        sim.call_after(at * NS, poke, i, interrupt)
+    for at, i in pokes:
+        sim.call_after(at * NS, poke, i)
     sim.run()
     return sim, trace
 
@@ -203,7 +199,7 @@ def test_bare_delays_dispatch_like_timeouts(plan, pokes):
     """A bare delay is the Timeout it replaces, minus the object: the
     same resumes at the same times in the same order, the same number
     of dispatched queue entries, and balanced books, under interrupts
-    (stale sleeps) and cancels of sleeping processes."""
+    (stale sleeps)."""
     sim_t, trace_t = _run_sleepers(plan, pokes, bare=False)
     sim_b, trace_b = _run_sleepers(plan, pokes, bare=True)
     assert trace_b == trace_t

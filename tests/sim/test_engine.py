@@ -484,9 +484,10 @@ def test_interrupt_during_bare_delay_is_delivered_once():
 
 @pytest.mark.parametrize("spell", ["timeout", "bare"])
 def test_cancel_on_a_sleeping_process_keeps_the_books(spell):
-    """Cancelling a process drops its waiters but not its generator
-    (see Event.cancel): a sleeping process still wakes, whichever way
-    it spelled its sleep, and no queue entry is counted dead."""
+    """A process cannot be cancelled: ``cancel()`` raises, names
+    ``interrupt()``, and changes nothing.  The sleeper still wakes,
+    whichever way it spelled its sleep, then triggers and runs its
+    waiter, and no queue entry is counted dead."""
     sim = Simulator()
     log = []
 
@@ -498,10 +499,12 @@ def test_cancel_on_a_sleeping_process_keeps_the_books(spell):
     waiter_ran = []
     p.callbacks.append(waiter_ran.append)
     sim.run(until=1.0)
-    assert p.cancel()
-    assert sim.dead_events == 0
+    with pytest.raises(TypeError, match=r"interrupt\(\)"):
+        p.cancel()
+    assert not p.cancelled and sim.dead_events == 0
     sim.run()
-    assert log == [5.0] and waiter_ran == []
+    assert log == [5.0] and waiter_ran == [p]
+    assert not p.is_alive
     q = sim.queue
     assert q.dead == 0 and q.live + q.dead == q.size == 0
-    assert sim.skipped == 0 and sim.dispatched == 2
+    assert sim.skipped == 0 and sim.dispatched == 3

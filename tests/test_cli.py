@@ -150,6 +150,7 @@ def test_run_single_crash_json_payload(capsys, monkeypatch):
 @pytest.mark.parametrize("cmd", [
     ["run", "fig2b", "--quick", "--paper"],
     ["sanitize", "fig2b", "--quick", "--paper"],
+    ["trace", "fig2b", "--quick", "--paper"],
     ["ablate", "--quick", "--paper"],
 ])
 def test_quick_and_paper_are_mutually_exclusive(cmd):
